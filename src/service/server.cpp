@@ -106,7 +106,9 @@ util::Status Server::start() {
   }
 
   stopping_.store(false);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets its own copy of the descriptor: stop() resets
+  // listen_fd_ while that thread may still be inside accept().
+  accept_thread_ = std::thread([this, listen_fd = listen_fd_] { accept_loop(listen_fd); });
   MFV_LOG(kInfo, "server") << "listening on "
                            << (options_.unix_path.empty()
                                    ? "127.0.0.1:" + std::to_string(port_)
@@ -114,7 +116,7 @@ util::Status Server::start() {
   return util::Status::ok_status();
 }
 
-void Server::accept_loop() {
+void Server::accept_loop(int listen_fd) {
   obs::Counter& retries_counter = service_.metrics().counter("server_accept_retries");
   int backoff_ms = 1;
   for (;;) {
@@ -122,8 +124,8 @@ void Server::accept_loop() {
       std::lock_guard<std::mutex> lock(mutex_);
       reap_finished_locked();
     }
-    int fd = options_.accept_fn ? options_.accept_fn(listen_fd_)
-                                : ::accept(listen_fd_, nullptr, nullptr);
+    int fd = options_.accept_fn ? options_.accept_fn(listen_fd)
+                                : ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (!stopping_.load() && transient_accept_errno(errno)) {
@@ -226,11 +228,13 @@ void Server::stop() {
   if (listen_fd_ < 0) return;
   stopping_.store(true);
 
-  // 1. No new connections: closing the listen socket pops accept().
+  // 1. No new connections: shutting the listen socket down pops accept().
+  // It is closed only after the accept thread is gone, so that thread
+  // never calls accept() on a closed (or reused) descriptor number.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. Drain: everything already admitted executes and its response is
   // written to the still-open client sockets.

@@ -114,7 +114,7 @@ class Server {
     std::shared_ptr<std::atomic<bool>> done;
   };
 
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(std::shared_ptr<Connection> connection);
   /// Joins finished workers and drops expired connection entries
   /// (caller holds mutex_).

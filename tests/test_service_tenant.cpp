@@ -587,6 +587,25 @@ TEST(ServerLifetime, TransientAcceptErrorsAreRetriedNotFatal) {
   EXPECT_EQ(harness.service.metrics().counter("server_accept_retries").value(), 3u);
 }
 
+// stop() resets the listen descriptor while the accept thread may be
+// blocked in accept() on it; the TSan leg runs this cycle to keep that
+// hand-off race-free.
+TEST(ServerLifetime, StartAcceptStopCyclesAreClean) {
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    VerificationService service;
+    ServerOptions options;
+    options.unix_path = unique_socket_path("cycle");
+    Server server(service, options);
+    ASSERT_TRUE(server.start().ok()) << "cycle " << cycle;
+    Client client;
+    ASSERT_TRUE(client.connect_unix(server.unix_path()).ok());
+    auto response = client.call(make_request(1, "stats"));
+    ASSERT_TRUE(response.ok() && response->ok()) << "cycle " << cycle;
+    server.stop();
+    EXPECT_EQ(server.connections_accepted(), 1u);
+  }
+}
+
 TEST(ServerLifetime, SecondDaemonOnALiveSocketFailsAlreadyExists) {
   Harness first("livepath");
 
