@@ -30,6 +30,38 @@ void Aft::set_ipv4_entry(Ipv4Entry entry) {
 
 void Aft::set_label_entry(LabelEntry entry) { mutate().label_entries[entry.label] = entry; }
 
+void Aft::patch(const std::vector<net::Ipv4Prefix>& erase, std::vector<Ipv4Entry> write,
+                std::map<uint64_t, NextHop> next_hops, std::map<uint64_t, NextHopGroup> groups,
+                std::map<uint32_t, LabelEntry> labels) {
+  // Rebuilt in prefix order instead of cloned and edited: a clone lays its
+  // nodes out in tree order, and every later walk of the table (capture,
+  // graph build, FIB diff) pays for the scattered reads. Building costs
+  // the same allocations a clone would.
+  Tables fresh;
+  auto& entries = fresh.ipv4_entries;
+  auto written = write.begin();
+  auto erased = erase.begin();
+  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
+    for (; written != write.end() && written->prefix < prefix; ++written)
+      entries.emplace_hint(entries.end(), written->prefix, std::move(*written));
+    while (erased != erase.end() && *erased < prefix) ++erased;
+    if (written != write.end() && written->prefix == prefix) {
+      entries.emplace_hint(entries.end(), prefix, std::move(*written++));
+    } else if (erased == erase.end() || *erased != prefix) {
+      entries.emplace_hint(entries.end(), prefix, entry);
+    }
+  }
+  for (; written != write.end(); ++written)
+    entries.emplace_hint(entries.end(), written->prefix, std::move(*written));
+  fresh.next_hop_counter = next_hops.empty() ? 1 : next_hops.rbegin()->first + 1;
+  fresh.group_counter = groups.empty() ? 1 : groups.rbegin()->first + 1;
+  fresh.next_hops = std::move(next_hops);
+  fresh.groups = std::move(groups);
+  fresh.label_entries = std::move(labels);
+  tables_ = std::move(fresh);
+  trie_valid_ = false;
+}
+
 const NextHop* Aft::next_hop(uint64_t index) const {
   auto it = tables_->next_hops.find(index);
   return it == tables_->next_hops.end() ? nullptr : &it->second;

@@ -215,6 +215,8 @@ std::string oracle_name(uint32_t oracle) {
       return "incremental";
     case kOracleExplore:
       return "explore";
+    case kOracleFib:
+      return "fib";
     case kOracleAll:
       return "all";
     default:
@@ -230,6 +232,7 @@ std::optional<uint32_t> parse_oracle(std::string_view name) {
   if (name == "sharded") return kOracleSharded;
   if (name == "incremental") return kOracleIncremental;
   if (name == "explore") return kOracleExplore;
+  if (name == "fib") return kOracleFib;
   if (name == "all") return kOracleAll;
   return std::nullopt;
 }
@@ -239,7 +242,7 @@ uint32_t FuzzCase::oracles() const {
   if (!snapshot.devices.empty() || !topology.nodes.empty()) mask |= kOracleEngines;
   if (!topology.nodes.empty())
     mask |= kOracleFork | kOracleStore | kOracleDialect | kOracleSharded |
-            kOracleIncremental | kOracleExplore;
+            kOracleIncremental | kOracleExplore | kOracleFib;
   if (!literals.empty()) mask |= kOracleDialect;
   return mask;
 }

@@ -74,13 +74,20 @@ enum Oracle : uint32_t {
   /// is too large or the exploration hit a cap — membership is only a
   /// theorem for complete enumerations.
   kOracleExplore = 1u << 6,
+  /// Incremental FIB compile and IS-IS diff install vs full rebuilds:
+  /// after boot and after each perturbation's re-convergence (on a fork),
+  /// every router's exported tables (default instance, VRF instances,
+  /// label entries) must equal a from-scratch compile of its RIBs, and its
+  /// IS-IS routes must equal a full replace_protocol reinstall of its last
+  /// SPF run.
+  kOracleFib = 1u << 7,
 
   kOracleAll = kOracleEngines | kOracleFork | kOracleStore | kOracleDialect |
-               kOracleSharded | kOracleIncremental | kOracleExplore,
+               kOracleSharded | kOracleIncremental | kOracleExplore | kOracleFib,
 };
 
 std::string oracle_name(uint32_t oracle);
-/// Parses "engines" / "fork" / "store" / "dialect" / "sharded" / "all".
+/// Parses an oracle name ("engines", "fork", ..., "fib") or "all".
 std::optional<uint32_t> parse_oracle(std::string_view name);
 
 /// One self-contained fuzz case. Exactly one of topology/snapshot is

@@ -521,6 +521,49 @@ Verdict check_explore(const FuzzCase& c) {
   return pass(kOracleExplore);
 }
 
+// -- oracle 8: patched FIBs and diff-installed IS-IS routes vs rebuilds ----
+
+/// Empty when every router's exported tables equal a from-scratch compile
+/// of its RIBs and its IS-IS routes equal a full reinstall of its last SPF
+/// run; otherwise names the first router that breaks either.
+std::string fib_mismatch(const emu::Emulation& emulation) {
+  for (const net::NodeName& name : emulation.node_names()) {
+    const vrouter::VirtualRouter* router = emulation.router(name);
+    if (router->device_aft().to_json().dump() !=
+        router->recompiled_device_aft().to_json().dump())
+      return name + ": patched FIB differs from a from-scratch compile";
+    if (const proto::IsisEngine* isis = router->isis()) {
+      rib::Rib reinstalled = router->routing_table();
+      if (reinstalled.replace_protocol(rib::Protocol::kIsis, isis->instance(),
+                                       isis->spf_routes()))
+        return name + ": IS-IS routes differ from a full reinstall of the last SPF run";
+    }
+  }
+  return "";
+}
+
+Verdict check_fib(const FuzzCase& c) {
+  emu::Emulation base;
+  if (!base.add_topology(c.topology).ok()) return pass(kOracleFib, "skipped: topology rejected");
+  base.start_all();
+  if (!base.run_to_convergence()) return pass(kOracleFib, "skipped: unconverged");
+  if (std::string problem = fib_mismatch(base); !problem.empty())
+    return fail(kOracleFib, "after boot: " + problem);
+
+  std::unique_ptr<emu::Emulation> fork = base.fork();
+  if (fork == nullptr) return fail(kOracleFib, "converged base refused to fork");
+  for (size_t i = 0; i < c.perturbations.size(); ++i) {
+    scenario::ScenarioRunner::apply(*fork, c.perturbations[i]);
+    if (!fork->run_to_convergence())
+      return pass(kOracleFib, "skipped: perturbed network did not re-converge");
+    if (std::string problem = fib_mismatch(*fork); !problem.empty())
+      return fail(kOracleFib, "after " +
+                                  scenario::perturbation_to_string(c.perturbations[i]) +
+                                  ": " + problem);
+  }
+  return pass(kOracleFib);
+}
+
 }  // namespace
 
 std::vector<Verdict> run_oracles(const FuzzCase& c, uint32_t mask) {
@@ -533,6 +576,7 @@ std::vector<Verdict> run_oracles(const FuzzCase& c, uint32_t mask) {
   if (applicable & kOracleSharded) verdicts.push_back(check_sharded(c));
   if (applicable & kOracleIncremental) verdicts.push_back(check_incremental(c));
   if (applicable & kOracleExplore) verdicts.push_back(check_explore(c));
+  if (applicable & kOracleFib) verdicts.push_back(check_fib(c));
   return verdicts;
 }
 

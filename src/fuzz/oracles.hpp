@@ -1,4 +1,4 @@
-// The five differential oracles. Each one computes the same artifact two
+// The differential oracles. Each one computes the same artifact two
 // independent ways and demands byte-for-byte agreement; a Verdict carries
 // the first observed divergence so repros are self-explaining.
 #pragma once

@@ -68,6 +68,9 @@ class IsisEngine {
   }
   const std::map<SystemId, IsisLsp>& database() const { return lsdb_; }
   uint32_t spf_runs() const { return spf_runs_; }
+  /// Every route the last SPF run computed: what a replace_protocol
+  /// reinstall of that run would install. Empty before the first run.
+  std::vector<rib::RibRoute> spf_routes() const;
 
  private:
   IsisEngine(RouterEnv& env, const IsisEngine& other);
@@ -84,6 +87,28 @@ class IsisEngine {
   void schedule_spf();
   void run_spf();
 
+  /// One SPF run's output, prefix-sorted. Per prefix it holds the (cost,
+  /// first-hop set) contributions the install loop keeps, in the order it
+  /// emits them: LSDB origin order, each LSP in prefix order, dropping a
+  /// contribution that costs more than the cheapest one before it. So a
+  /// higher-cost candidate from an earlier origin stays, as it always has.
+  /// Immutable once built: forks share it.
+  struct SpfTable {
+    struct Row {
+      net::Ipv4Prefix prefix;
+      uint32_t metric = 0;
+      uint32_t hops = 0;  // offset of the first-hop mask in `masks`
+    };
+    /// What first-hop bit i names: adjacency i in interface-name order.
+    std::vector<std::pair<net::InterfaceName, net::Ipv4Address>> adjacencies;
+    size_t hop_words = 1;
+    std::vector<uint64_t> masks;
+    std::vector<Row> rows;
+  };
+  /// Expands rows [begin, end) into RIB routes, collapsing same-slot
+  /// duplicates within a prefix the way replace_protocol does.
+  std::vector<rib::RibRoute> routes_of(const SpfTable& table, size_t begin, size_t end) const;
+
   std::optional<InterfaceView> find_interface(const net::InterfaceName& name) const;
   /// Seen-neighbor set for 3-way handshake on one link.
   std::vector<SystemId> seen_on(const net::InterfaceName& interface) const;
@@ -99,9 +124,8 @@ class IsisEngine {
   uint32_t own_sequence_ = 0;
   bool spf_pending_ = false;
   uint32_t spf_runs_ = 0;
-  // Size of the last installed route set; sizes the next run's vector up
-  // front (SPF re-runs during reconvergence install near-identical sets).
-  size_t last_install_size_ = 0;
+  /// The last run's output: the next run installs only its difference.
+  std::shared_ptr<const SpfTable> spf_table_;
 };
 
 }  // namespace mfv::proto

@@ -74,10 +74,13 @@ class Rib {
   // the trie is a pure cache over `routes_` and rebuilds on first LPM.
   // This is what makes a RIB (and hence a whole router) forkable for the
   // scenario engine. Moves keep the trie (node ownership transfers).
-  Rib(const Rib& other) : routes_(other.routes_) {}
+  Rib(const Rib& other)
+      : routes_(other.routes_), dirty_(other.dirty_), all_dirty_(other.all_dirty_) {}
   Rib& operator=(const Rib& other) {
     if (this != &other) {
       routes_ = other.routes_;
+      dirty_ = other.dirty_;
+      all_dirty_ = other.all_dirty_;
       trie_.clear();
       trie_valid_ = false;
     }
@@ -107,6 +110,24 @@ class Rib {
   bool replace_protocol(Protocol protocol, const std::string& source,
                         std::vector<RibRoute> fresh);
 
+  /// replace_protocol restricted to one prefix: `fresh` holds the new
+  /// (`protocol`, `source`) routes of `prefix`, free of same-slot
+  /// duplicates. Other prefixes are not visited, so an engine that knows
+  /// which of its prefixes changed pays only for those.
+  bool replace_prefix(Protocol protocol, const std::string& source,
+                      const net::Ipv4Prefix& prefix, std::vector<RibRoute> fresh);
+
+  /// Prefixes whose best-route set may have changed since the last
+  /// take_dirty(). Every mutation marks what it touched; a fresh RIB is
+  /// all dirty. The FIB compile consumes the set, so it is empty whenever
+  /// the FIB is up to date.
+  struct Dirty {
+    bool all = false;
+    /// Sorted and unique. When `all`, every prefix in the RIB.
+    std::vector<net::Ipv4Prefix> prefixes;
+  };
+  Dirty take_dirty();
+
   /// Best route set (ECMP) for an exact prefix; empty if none.
   std::vector<RibRoute> best(const net::Ipv4Prefix& prefix) const;
 
@@ -131,8 +152,17 @@ class Rib {
   /// valid across mutations (full rebuilds happen only after a copy).
   void prefix_added(const net::Ipv4Prefix& prefix);
   void prefix_removed(const net::Ipv4Prefix& prefix);
+  void mark_dirty(const net::Ipv4Prefix& prefix);
+  /// replace_protocol's per-slot step: swaps the routes `matches` accepts
+  /// for `want` unless they already agree as a multiset. Erases an
+  /// emptied slot (advancing `it`). Returns true if the slot changed.
+  template <typename Match>
+  bool replace_in_slot(std::map<net::Ipv4Prefix, std::vector<RibRoute>>::iterator& it,
+                       const Match& matches, std::vector<RibRoute>* want);
 
   std::map<net::Ipv4Prefix, std::vector<RibRoute>> routes_;
+  std::vector<net::Ipv4Prefix> dirty_;  // unsorted, may repeat
+  bool all_dirty_ = true;
   mutable net::PrefixTrie<bool> trie_;  // presence trie for LPM
   mutable bool trie_valid_ = false;
 };
@@ -155,5 +185,38 @@ std::vector<ResolvedNextHop> resolve(const Rib& rib, const RibRoute& route, int 
 /// Compiles the RIB into an AFT: best routes, recursive resolution,
 /// ECMP groups, deduplicated next hops.
 aft::Aft compile_fib(const Rib& rib);
+
+/// MPLS label entries to append after the ipv4 tables: incoming label and
+/// its one next hop (index ignored), in label order.
+using LabelHops = std::vector<std::pair<uint32_t, aft::NextHop>>;
+
+/// The incremental counterpart of compile_fib: keeps one AFT equal to
+/// compile_fib(rib) plus `labels` (each label gets its own next hop and
+/// group after the ipv4 ones) while doing work in proportion to what
+/// changed. It re-resolves the prefixes the RIB marked dirty and the
+/// recursive routes whose next hop lies inside one of them, patches the
+/// copy-on-write table, and renumbers next hops and groups in the
+/// first-appearance order compile_fib uses. A fresh RIB is all dirty, so
+/// the first call is a full compile.
+class FibPatcher {
+ public:
+  struct Result {
+    /// The table's content changed (including metrics and indices).
+    bool changed = false;
+    /// Some entry's set of forwarding actions changed, or an entry came
+    /// or went: the change Aft::forwarding_equal would see.
+    bool forwarding_changed = false;
+  };
+
+  /// Consumes `rib`'s dirty set. `fib` must be this patcher's output for
+  /// the same RIB (or empty, with the RIB all dirty).
+  Result patch(Rib& rib, aft::Aft& fib, const LabelHops& labels = {});
+
+ private:
+  /// (next hop, prefix) for each recursive best route in the table: the
+  /// prefixes a change covering that next hop must re-resolve. Sorted;
+  /// shared between forks until one side changes it.
+  util::Cow<std::vector<std::pair<net::Ipv4Address, net::Ipv4Prefix>>> recursive_;
+};
 
 }  // namespace mfv::rib

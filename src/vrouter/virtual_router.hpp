@@ -113,6 +113,11 @@ class VirtualRouter final : public proto::RouterEnv {
   // -- dataplane export (gNMI-facing) --
   const aft::Aft& fib() const { return *fib_; }
   aft::DeviceAft device_aft() const;
+  /// device_aft() with the tables compiled from scratch out of the current
+  /// RIBs (rib::compile_fib plus the TE label entries). Equal to
+  /// device_aft() after every FIB compile, which patches instead; the
+  /// fuzz `fib` oracle checks that.
+  aft::DeviceAft recompiled_device_aft() const;
   /// Monotonic counter bumped whenever forwarding behaviour changes.
   uint64_t fib_version() const { return fib_version_; }
   util::TimePoint last_fib_change() const { return last_fib_change_; }
@@ -150,6 +155,7 @@ class VirtualRouter final : public proto::RouterEnv {
   void install_static_routes();
   void schedule_fib_compile();
   void compile_fib_now();
+  rib::LabelHops label_hops() const;
   /// Fans the current RIB state out to engines that react to RIB changes.
   void propagate_rib_change();
 
@@ -173,12 +179,14 @@ class VirtualRouter final : public proto::RouterEnv {
 
   std::map<net::InterfaceName, bool> link_connected_;
 
-  // Shared, immutable once compiled: compile_fib_now() swaps in a fresh
-  // Aft instead of mutating, so forks share the base's compiled FIB until
-  // their first recompile (and forever if the scenario never touches this
-  // router's RIB).
+  // Shared, immutable once compiled: compile_fib_now() patches a
+  // copy-on-write copy and swaps it in, so forks share the base's
+  // compiled FIB until their first change (and forever if the scenario
+  // never touches this router's RIB).
   std::shared_ptr<const aft::Aft> fib_ = std::make_shared<aft::Aft>();
   std::map<std::string, aft::Aft> vrf_fibs_;
+  rib::FibPatcher fib_patcher_;
+  std::map<std::string, rib::FibPatcher> vrf_patchers_;
   uint64_t fib_version_ = 0;
   util::TimePoint last_fib_change_;
   bool fib_compile_pending_ = false;
