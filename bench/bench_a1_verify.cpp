@@ -47,7 +47,7 @@ void report() {
   std::printf("\n");
 }
 
-/// Serial-vs-parallel and cached-vs-uncached comparison on the headline
+/// Serial-vs-parallel comparison of the memoized engine on the headline
 /// 200-router sweep. Emits machine-readable `A1_TIMING`/`A1_SPEEDUP`
 /// lines so experiment scripts can scrape the numbers.
 void engine_report() {
@@ -72,25 +72,17 @@ void engine_report() {
 
   std::printf("=== A1: engine comparison, %d-router reachability sweep ===\n",
               kRouters);
-  verify::QueryOptions serial;
-  serial.threads = 1;
-  serial.engine = verify::EngineMode::kLegacy;
-  double serial_ms = run("serial", serial);
-
   verify::QueryOptions cached_serial;
   cached_serial.threads = 1;
-  cached_serial.engine = verify::EngineMode::kCached;
   double cached_serial_ms = run("cached-serial", cached_serial);
 
   verify::QueryOptions parallel;
   parallel.threads = 8;
-  parallel.engine = verify::EngineMode::kCached;
   double parallel_ms = run("cached-parallel", parallel);
 
   mfv::util::Json speedup = mfv::util::Json::object();
   speedup["routers"] = kRouters;
-  speedup["cached_serial"] = serial_ms / cached_serial_ms;
-  speedup["cached_parallel"] = serial_ms / parallel_ms;
+  speedup["cached_parallel"] = cached_serial_ms / parallel_ms;
   mfvbench::timing("A1_SPEEDUP", speedup);
   std::printf("\n");
 }
@@ -109,7 +101,6 @@ void obs_overhead_report() {
   auto best_of = [&](obs::MetricsRegistry* metrics) {
     verify::QueryOptions options;
     options.threads = 8;
-    options.engine = verify::EngineMode::kCached;
     options.metrics = metrics;
     double best = 0;
     for (int rep = 0; rep < kReps; ++rep) {
@@ -144,22 +135,17 @@ void BM_ReachabilityQuery(benchmark::State& state) {
   verify::ForwardingGraph graph(snapshot);
   verify::QueryOptions options;
   options.threads = static_cast<unsigned>(state.range(1));
-  options.engine = state.range(2) != 0 ? verify::EngineMode::kCached
-                                       : verify::EngineMode::kLegacy;
   for (auto _ : state) {
     auto result = verify::reachability(graph, options);
     benchmark::DoNotOptimize(result.flows);
   }
   state.counters["routers"] = static_cast<double>(state.range(0));
   state.counters["threads"] = static_cast<double>(state.range(1));
-  state.counters["cached"] = static_cast<double>(state.range(2));
 }
-// Rows: serial legacy baseline, cached at one thread (memoization win
-// alone), cached at eight threads (memoization + sharding).
+// Rows: the memoized engine at one thread and at eight (plus sharding).
 BENCHMARK(BM_ReachabilityQuery)
-    ->Args({10, 1, 0})->Args({20, 1, 0})->Args({40, 1, 0})
-    ->Args({10, 1, 1})->Args({20, 1, 1})->Args({40, 1, 1})
-    ->Args({10, 8, 1})->Args({20, 8, 1})->Args({40, 8, 1})
+    ->Args({10, 1})->Args({20, 1})->Args({40, 1})
+    ->Args({10, 8})->Args({20, 8})->Args({40, 8})
     ->Unit(benchmark::kMillisecond);
 
 void BM_DifferentialQuery(benchmark::State& state) {
@@ -168,8 +154,6 @@ void BM_DifferentialQuery(benchmark::State& state) {
   verify::ForwardingGraph candidate(snapshot);
   verify::QueryOptions options;
   options.threads = static_cast<unsigned>(state.range(1));
-  options.engine = state.range(1) > 1 ? verify::EngineMode::kCached
-                                      : verify::EngineMode::kLegacy;
   for (auto _ : state) {
     auto result = verify::differential_reachability(base, candidate, options);
     benchmark::DoNotOptimize(result.flows);

@@ -110,9 +110,9 @@ void report() {
     mfvbench::timing("E1_TIMING", fields);
   }
 
-  // Engine comparison on the same query: serial legacy walker versus the
-  // memoized trace cache, with and without sharded execution. Emitted as
-  // machine-readable E1_TIMING lines for experiment scripts.
+  // The same query on the memoized engine, with and without sharded
+  // execution. Emitted as machine-readable E1_TIMING lines for experiment
+  // scripts.
   auto timed = [&](const char* label, verify::QueryOptions options) {
     auto begin = std::chrono::steady_clock::now();
     auto result = session.differential_reachability("base", "bug", options);
@@ -125,17 +125,11 @@ void report() {
     fields["ms"] = ms;
     mfvbench::timing("E1_TIMING", fields);
   };
-  verify::QueryOptions serial;
-  serial.threads = 1;
-  serial.engine = verify::EngineMode::kLegacy;
-  timed("serial", serial);
   verify::QueryOptions cached_serial;
   cached_serial.threads = 1;
-  cached_serial.engine = verify::EngineMode::kCached;
   timed("cached-serial", cached_serial);
   verify::QueryOptions parallel;
   parallel.threads = 8;
-  parallel.engine = verify::EngineMode::kCached;
   timed("cached-parallel", parallel);
   std::printf("\n");
 }
@@ -175,8 +169,6 @@ void BM_DifferentialQuery(benchmark::State& state) {
   if (!session.init_snapshot(workload::fig2_topology(true), "bug").ok()) return;
   verify::QueryOptions options;
   options.threads = static_cast<unsigned>(state.range(0));
-  options.engine = state.range(0) > 1 ? verify::EngineMode::kCached
-                                      : verify::EngineMode::kLegacy;
   for (auto _ : state) {
     auto diff = session.differential_reachability("base", "bug", options);
     benchmark::DoNotOptimize(diff->rows.size());

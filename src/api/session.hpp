@@ -95,9 +95,9 @@ class Session {
   util::Result<verify::TraceResult> traceroute(const std::string& snapshot,
                                                const net::NodeName& source,
                                                net::Ipv4Address destination) const;
-  /// Options tune the engine too (threads / engine mode / trace limits):
-  /// every query runs on the sharded, memoized engine described in
-  /// DESIGN.md §5 when options.threads != 1.
+  /// Every query runs on the sharded, memoized engine described in
+  /// DESIGN.md §5; options.threads only sets how many class shards run at
+  /// once, never the answer.
   util::Result<verify::PairwiseResult> pairwise_reachability(
       const std::string& snapshot, const verify::QueryOptions& options = {}) const;
   util::Result<verify::ReachabilityResult> detect_loops(

@@ -2,10 +2,10 @@
 // against the pipeline's equivalence oracles.
 //
 // The verifier's trustworthiness rests on a stack of "these two ways of
-// computing the same thing agree" claims: the threaded memoized engine
-// matches the serial legacy walker, a forked emulation matches a cold
-// boot, a snapshot-store hit matches a rebuild, and a written config
-// parses back to the text that was written. Each claim is proven on
+// computing the same thing agree" claims: the memoized sweep engine
+// matches independent per-flow trace_flow walks, a forked emulation
+// matches a cold boot, a snapshot-store hit matches a rebuild, and a
+// written config parses back to the text that was written. Each claim is proven on
 // hand-picked examples in the unit tests; this module hunts for the
 // examples nobody picked. A FuzzCase is fully materialized — topology
 // with config bytes, perturbation sequence, or a synthetic adversarial
@@ -44,8 +44,9 @@ std::string mode_name(Mode mode);
 
 /// Oracle bits (maskable so the CLI can run one family in isolation).
 enum Oracle : uint32_t {
-  /// reachability + detect_loops: serial legacy walker vs threaded
-  /// memoized engine must produce identical row sets.
+  /// reachability + detect_loops: the memoized engine at 1 and at 4
+  /// threads must reproduce per-flow trace_flow walks (caps lifted) over
+  /// every (source, class) pair, row for row.
   kOracleEngines = 1u << 0,
   /// Emulation::fork + perturb + re-converge vs cold boot + identical
   /// perturbations: byte-identical snapshot JSON.

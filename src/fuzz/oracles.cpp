@@ -18,10 +18,10 @@ namespace mfv::fuzz {
 
 namespace {
 
-/// Generous truncation budgets: the legacy walker's max_paths/max_hops
-/// truncation is a *documented* divergence from the exhaustive memoized
-/// engine, so the oracle lifts the caps far above anything the generated
-/// cases can produce and compares only genuine semantics.
+/// Generous truncation budgets for the per-flow reference: trace_flow's
+/// max_paths/max_hops caps are a *documented* divergence from the
+/// exhaustive memoized engine, so the oracle lifts them far above anything
+/// the generated cases can produce and compares only genuine semantics.
 verify::TraceOptions oracle_trace_options() {
   verify::TraceOptions options;
   options.max_hops = 64;
@@ -48,28 +48,34 @@ util::Result<gnmi::Snapshot> converge_snapshot(const emu::Topology& topology) {
   return gnmi::Snapshot::capture(emulation, "snap");
 }
 
+std::string render_row(const net::NodeName& source, const verify::PacketClass& destination,
+                       const verify::DispositionSet& dispositions) {
+  return source + "|" + destination.to_string() + "|" + dispositions.to_string();
+}
+
 std::vector<std::string> render_rows(const verify::ReachabilityResult& result) {
   std::vector<std::string> rows;
   rows.reserve(result.rows.size());
   for (const verify::ReachabilityRow& row : result.rows)
-    rows.push_back(row.source + "|" + row.destination.to_string() + "|" +
-                   row.dispositions.to_string());
+    rows.push_back(render_row(row.source, row.destination, row.dispositions));
   std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-std::string first_diff(const std::vector<std::string>& a,
-                       const std::vector<std::string>& b) {
-  size_t limit = std::min(a.size(), b.size());
+/// First differing row of two sorted renderings ("" when equal).
+std::string first_diff(const std::vector<std::string>& expected,
+                       const std::vector<std::string>& actual) {
+  size_t limit = std::min(expected.size(), actual.size());
   for (size_t i = 0; i < limit; ++i)
-    if (a[i] != b[i]) return "serial='" + a[i] + "' threaded='" + b[i] + "'";
-  if (a.size() != b.size())
-    return "row counts differ: serial=" + std::to_string(a.size()) +
-           " threaded=" + std::to_string(b.size());
+    if (expected[i] != actual[i])
+      return "expected='" + expected[i] + "' actual='" + actual[i] + "'";
+  if (expected.size() != actual.size())
+    return "row counts differ: expected=" + std::to_string(expected.size()) +
+           " actual=" + std::to_string(actual.size());
   return "";
 }
 
-// -- oracle 1: serial legacy walker vs threaded memoized engine -------------
+// -- oracle 1: per-flow trace_flow reference vs the memoized engine ---------
 
 Verdict check_engines(const FuzzCase& c) {
   gnmi::Snapshot snapshot;
@@ -83,28 +89,37 @@ Verdict check_engines(const FuzzCase& c) {
   }
   verify::ForwardingGraph graph(snapshot);
 
-  verify::QueryOptions serial;
-  serial.threads = 1;
-  serial.engine = verify::EngineMode::kLegacy;
-  serial.trace = oracle_trace_options();
+  // Reference: one independent trace_flow walk per (source, class) pair.
+  std::vector<verify::PacketClass> classes =
+      verify::compute_packet_classes(graph.relevant_prefixes());
+  std::vector<std::string> reference_rows;
+  std::vector<std::string> reference_loops;
+  for (const net::NodeName& source : graph.nodes()) {
+    for (const verify::PacketClass& cls : classes) {
+      verify::DispositionSet dispositions =
+          verify::trace_flow(graph, source, cls.representative(), oracle_trace_options())
+              .dispositions;
+      reference_rows.push_back(render_row(source, cls, dispositions));
+      if (dispositions.contains(verify::Disposition::kLoop))
+        reference_loops.push_back(reference_rows.back());
+    }
+  }
+  std::sort(reference_rows.begin(), reference_rows.end());
+  std::sort(reference_loops.begin(), reference_loops.end());
 
-  verify::QueryOptions threaded;
-  threaded.threads = 4;
-  threaded.engine = verify::EngineMode::kCached;
-  threaded.trace = oracle_trace_options();
-
-  std::vector<std::string> serial_rows = render_rows(verify::reachability(graph, serial));
-  std::vector<std::string> threaded_rows =
-      render_rows(verify::reachability(graph, threaded));
-  if (std::string diff = first_diff(serial_rows, threaded_rows); !diff.empty())
-    return fail(kOracleEngines, "reachability diverged: " + diff);
-
-  std::vector<std::string> serial_loops = render_rows(verify::detect_loops(graph, serial));
-  std::vector<std::string> threaded_loops =
-      render_rows(verify::detect_loops(graph, threaded));
-  if (std::string diff = first_diff(serial_loops, threaded_loops); !diff.empty())
-    return fail(kOracleEngines, "detect_loops diverged: " + diff);
-
+  for (unsigned threads : {1u, 4u}) {
+    verify::QueryOptions options;
+    options.threads = threads;
+    std::string where = " at threads=" + std::to_string(threads) + ": ";
+    if (std::string diff =
+            first_diff(reference_rows, render_rows(verify::reachability(graph, options)));
+        !diff.empty())
+      return fail(kOracleEngines, "reachability diverged from trace_flow" + where + diff);
+    if (std::string diff =
+            first_diff(reference_loops, render_rows(verify::detect_loops(graph, options)));
+        !diff.empty())
+      return fail(kOracleEngines, "detect_loops diverged from trace_flow" + where + diff);
+  }
   return pass(kOracleEngines);
 }
 
@@ -420,8 +435,6 @@ Verdict check_incremental(const FuzzCase& c) {
   verify::ForwardingGraph base_graph(base_snapshot);
   verify::QueryOptions options;
   options.threads = 4;
-  options.engine = verify::EngineMode::kCached;
-  options.trace = oracle_trace_options();
   std::unique_ptr<verify::IncrementalBase> verify_base =
       verify::capture_incremental_base(base_graph, options);
 

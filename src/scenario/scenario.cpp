@@ -172,11 +172,9 @@ ScenarioRunner::ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions
       base_idle_(base.kernel().idle()),
       base_snapshot_(gnmi::Snapshot::capture(base, "base")),
       base_graph_(base_snapshot_) {
-  if (options_.pairwise) {
-    base_pairwise_ = verify::pairwise_reachability(base_graph_, options_.verify);
-    for (const verify::PairwiseCell& cell : base_pairwise_.cells)
-      if (cell.reachable) base_reachable_.insert({cell.source, cell.destination});
-  }
+  base_pairwise_ = verify::pairwise_reachability(base_graph_, options_.verify);
+  for (const verify::PairwiseCell& cell : base_pairwise_.cells)
+    if (cell.reachable) base_reachable_.insert({cell.source, cell.destination});
   if (options_.incremental)
     incremental_base_ = verify::capture_incremental_base(base_graph_, options_.verify);
 }
@@ -232,34 +230,20 @@ util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
     }
 
     gnmi::Snapshot snapshot = gnmi::Snapshot::capture(*fork, scenario.name);
-    if (options_.pairwise) {
-      verify::ForwardingGraph graph(snapshot);
-      verify::QueryOptions verify_options = options_.verify;
-      if (incremental_base_ != nullptr) {
-        // Shared read-only across shards; diff + splice are const over it.
-        verify_options.incremental = incremental_base_.get();
-        verify_options.incremental_stats = &result.incremental;
-      }
-      result.pairwise = verify::pairwise_reachability(graph, verify_options);
-      for (const verify::PairwiseCell& cell : result.pairwise.cells)
-        if (!cell.reachable && base_reachable_.count({cell.source, cell.destination}) > 0)
-          ++result.broken_pairs;
+    verify::ForwardingGraph graph(snapshot);
+    verify::QueryOptions verify_options = options_.verify;
+    if (incremental_base_ != nullptr) {
+      // Shared read-only across shards; diff + splice are const over it.
+      verify_options.incremental = incremental_base_.get();
+      verify_options.incremental_stats = &result.incremental;
     }
-    if (options_.keep_snapshots || options_.differential)
-      result.snapshot = std::move(snapshot);
+    result.pairwise = verify::pairwise_reachability(graph, verify_options);
+    for (const verify::PairwiseCell& cell : result.pairwise.cells)
+      if (!cell.reachable && base_reachable_.count({cell.source, cell.destination}) > 0)
+        ++result.broken_pairs;
+    if (options_.keep_snapshots) result.snapshot = std::move(snapshot);
   });
 
-  // Differentials aggregate against the shared base graph, whose lazily
-  // primed class-LPM index tolerates no concurrent writers — serial phase.
-  if (options_.differential) {
-    for (ScenarioResult& result : results) {
-      if (!result.converged) continue;
-      verify::ForwardingGraph graph(result.snapshot);
-      result.differential =
-          verify::differential_reachability(base_graph_, graph, options_.verify);
-      if (!options_.keep_snapshots) result.snapshot = gnmi::Snapshot{};
-    }
-  }
   // Process-wide delta, so clones by a concurrent unrelated sweep can
   // leak in; within one service the broker serializes sweeps enough for
   // this to be the number operators want (copies this sweep paid for).

@@ -91,12 +91,10 @@ struct ScenarioResult {
   uint64_t events = 0;
   /// Perturbed dataplane (empty when keep_snapshots is off).
   gnmi::Snapshot snapshot;
-  /// Loopback-to-loopback matrix of the perturbed network (pairwise on).
+  /// Loopback-to-loopback matrix of the perturbed network.
   verify::PairwiseResult pairwise;
-  /// Base-reachable pairs this scenario breaks (pairwise on).
+  /// Base-reachable pairs this scenario breaks.
   size_t broken_pairs = 0;
-  /// Full flow-space diff vs the base (differential on; serial phase).
-  verify::DifferentialResult differential;
   /// Dirty/splice/fallback accounting of the incremental verify engine
   /// (zeroed unless ScenarioRunnerOptions.incremental is on).
   verify::IncrementalStats incremental;
@@ -109,13 +107,6 @@ struct ScenarioRunnerOptions {
   unsigned threads = 0;
   /// Event budget per scenario re-convergence.
   uint64_t max_events = 100000000ull;
-  /// Compute the per-scenario pairwise matrix and broken_pairs.
-  bool pairwise = true;
-  /// Compute the full differential-reachability vs base per scenario.
-  /// This phase runs serially after the sharded sweep: differential
-  /// queries prime the shared base ForwardingGraph, whose class-LPM index
-  /// is not safe against concurrent mutation.
-  bool differential = false;
   /// Keep each scenario's snapshot in its result (turn off for very large
   /// sweeps where only the verdict matters).
   bool keep_snapshots = true;
@@ -126,16 +117,12 @@ struct ScenarioRunnerOptions {
   /// verify/incremental). Per-scenario accounting lands in
   /// ScenarioResult.incremental.
   bool incremental = false;
-  /// Engine options for the per-scenario verify queries. One thread per
-  /// query by default: parallelism comes from scenario sharding, and
-  /// nesting pools inside workers oversubscribes the machine. The memoized
-  /// engine is forced (kAuto would fall back to the legacy walker at one
-  /// thread) — per-class memoization pays off within a single pairwise
-  /// sweep regardless of thread count.
+  /// Options for the per-scenario verify queries. One thread per query
+  /// by default: parallelism comes from scenario sharding, and nesting
+  /// pools inside workers oversubscribes the machine.
   verify::QueryOptions verify = [] {
     verify::QueryOptions options;
     options.threads = 1;
-    options.engine = verify::EngineMode::kCached;
     return options;
   }();
   /// Optional metrics sink for the scenario_* family: forks taken,

@@ -195,7 +195,6 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
           // through the entry cache fully warms it as a side effect.
           verify::QueryOptions capture;
           capture.threads = options_.query_threads;
-          capture.engine = verify::EngineMode::kCached;
           capture.prime_lpm = false;
           capture.cache = entry->cache.get();
           capture.metrics = metrics_;
@@ -235,7 +234,6 @@ verify::QueryOptions VerificationService::query_options(
     const Request& request, const StoredSnapshot& entry) const {
   verify::QueryOptions options;
   options.threads = options_.query_threads;
-  options.engine = verify::EngineMode::kCached;
   // The graph is shared by every concurrent request on this snapshot:
   // priming would mutate it, the shared TraceCache is the safe substitute.
   options.prime_lpm = false;

@@ -40,7 +40,7 @@ struct SpliceAdjacency;
 
 /// The base snapshot's verify result in splice-ready form: the full
 /// sources x classes disposition matrix (no row filter) plus the exact
-/// partition and options it was computed under. Captured once per stored
+/// partition and scope it was computed under. Captured once per stored
 /// snapshot; shared read-only across every incremental query that forks
 /// from it (thread-safe by construction: immutable after capture).
 struct IncrementalBase {
@@ -52,7 +52,6 @@ struct IncrementalBase {
   /// Source name -> row index, for splicing under a different source list.
   std::map<net::NodeName, size_t> source_index;
   std::optional<net::Ipv4Prefix> scope;
-  TraceOptions trace;
   /// Base packet-class partition (column order of `matrix`).
   std::vector<PacketClass> classes;
   /// Row-major: matrix[s * classes.size() + c].

@@ -24,10 +24,8 @@
 #include <memory>
 #include <mutex>
 
-#include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/incremental/incremental.hpp"
-#include "verify/trace_cache.hpp"
+#include "verify/sweep.hpp"
 
 namespace mfv::verify {
 
@@ -58,45 +56,6 @@ IncrementalBase::~IncrementalBase() = default;
 
 namespace {
 
-// Mirrors of the cold sweep's resolution helpers (queries.cpp keeps its
-// own in an anonymous namespace); any drift here breaks byte-identity and
-// is caught by the incremental fuzz oracle.
-std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
-                                           const QueryOptions& options) {
-  if (!options.sources.empty()) return options.sources;
-  return graph.nodes();
-}
-
-std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
-                                     const QueryOptions& options) {
-  if (options.scope) return compute_packet_classes(prefixes, *options.scope);
-  return compute_packet_classes(prefixes);
-}
-
-unsigned resolve_threads(const QueryOptions& options) {
-  if (options.threads != 0) return options.threads;
-  return util::ThreadPool::default_threads();
-}
-
-bool row_passes(const QueryOptions& options, const DispositionSet& dispositions) {
-  return options.row_filter.empty() || dispositions.intersects(options.row_filter);
-}
-
-/// The caller's long-lived cache when provided, else a query-local one.
-class CacheRef {
- public:
-  CacheRef(TraceCache* shared, const ForwardingGraph& graph,
-           obs::MetricsRegistry* metrics) {
-    if (shared == nullptr) local_ = std::make_unique<TraceCache>(graph, metrics);
-    cache_ = shared != nullptr ? shared : local_.get();
-  }
-  TraceCache& operator*() { return *cache_; }
-
- private:
-  std::unique_ptr<TraceCache> local_;
-  TraceCache* cache_ = nullptr;
-};
-
 QueryOptions cold_options(const QueryOptions& options) {
   QueryOptions cold = options;
   cold.incremental = nullptr;
@@ -118,8 +77,8 @@ void record(const QueryOptions& options, const IncrementalStats& stats) {
   }
 }
 
-/// Shared splice preconditions: a usable base, matching query options,
-/// and an expressible delta.
+/// Shared splice preconditions: a usable base, a matching scope, and an
+/// expressible delta.
 struct Preflight {
   const IncrementalBase* base = nullptr;
   FibDelta delta;
@@ -131,11 +90,6 @@ Preflight preflight(const ForwardingGraph& graph, const QueryOptions& options) {
   p.base = options.incremental;
   if (p.base == nullptr || p.base->graph == nullptr) {
     p.fallback = "no-base";
-    return p;
-  }
-  if (p.base->trace.max_hops != options.trace.max_hops ||
-      p.base->trace.max_paths != options.trace.max_paths) {
-    p.fallback = "options-mismatch";
     return p;
   }
   if (p.base->scope != options.scope) {
@@ -347,26 +301,15 @@ std::unique_ptr<IncrementalBase> capture_incremental_base(const ForwardingGraph&
                                                           const QueryOptions& options) {
   auto base = std::make_unique<IncrementalBase>();
   base->graph = &graph;
-  base->sources = resolve_sources(graph, options);
+  base->sources = sweep::resolve_sources(graph, options);
   base->scope = options.scope;
-  base->trace = options.trace;
-  base->classes = classes_for(graph.relevant_prefixes(), options);
+  base->classes = sweep::classes_for(graph.relevant_prefixes(), options);
   for (size_t s = 0; s < base->sources.size(); ++s)
     base->source_index.emplace(base->sources[s], s);
-
-  const size_t class_count = base->classes.size();
-  base->matrix.assign(base->sources.size() * class_count, DispositionSet());
-  unsigned threads = resolve_threads(options);
-  if (options.prime_lpm) graph.prime_class_lpm(base->classes);
-  CacheRef cache(options.cache, graph, options.metrics);
-  util::parallel_for_shards(threads, class_count, [&](size_t c) {
-    net::Ipv4Address representative = base->classes[c].representative();
-    (*cache).warm(representative);
-    for (size_t s = 0; s < base->sources.size(); ++s)
-      base->matrix[s * class_count + c] =
-          (*cache).dispositions(base->sources[s], representative);
-  });
-  base->adjacency = std::make_unique<SpliceAdjacency>(class_count);
+  // The capture is not a query: it records no shard latency.
+  base->matrix = sweep::disposition_matrix(graph, base->sources, base->classes, options,
+                                           /*shard_latency=*/nullptr);
+  base->adjacency = std::make_unique<SpliceAdjacency>(base->classes.size());
   return base;
 }
 
@@ -384,8 +327,8 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   if (!p.fallback.empty()) return fall_back(p.fallback);
   const IncrementalBase& base = *p.base;
 
-  std::vector<PacketClass> classes = classes_for(graph.relevant_prefixes(), options);
-  std::vector<net::NodeName> sources = resolve_sources(graph, options);
+  std::vector<PacketClass> classes = sweep::classes_for(graph.relevant_prefixes(), options);
+  std::vector<net::NodeName> sources = sweep::resolve_sources(graph, options);
   const size_t class_count = classes.size();
   const size_t source_count = sources.size();
   stats.classes = class_count;
@@ -428,7 +371,7 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
     if (std::optional<size_t> index = closer.index_of(sources[s]))
       source_node[s] = *index;
 
-  unsigned threads = resolve_threads(options);
+  unsigned threads = sweep::resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
   std::vector<std::vector<uint8_t>> closures(dirty_index.size());
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
@@ -477,7 +420,7 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   // whole-column re-traces — and splice everything else.
   if (options.prime_lpm && !dirty_classes.empty()) graph.prime_class_lpm(dirty_classes);
   std::vector<DispositionSet> matrix(source_count * class_count);
-  CacheRef cache(options.cache, graph, options.metrics);
+  sweep::CacheRef cache(options.cache, graph, options.metrics);
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t c = dirty_index[i];
     net::Ipv4Address representative = classes[c].representative();
@@ -516,18 +459,7 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   stats.retraced = retrace_cells;
   stats.spliced = total_cells - retrace_cells;
   record(options, stats);
-
-  ReachabilityResult result;
-  result.classes = class_count;
-  result.flows = source_count * class_count;
-  for (size_t s = 0; s < source_count; ++s) {
-    for (size_t c = 0; c < class_count; ++c) {
-      const DispositionSet& dispositions = matrix[s * class_count + c];
-      if (!row_passes(options, dispositions)) continue;
-      result.rows.push_back({sources[s], classes[c], dispositions});
-    }
-  }
-  return result;
+  return sweep::reachability_rows(sources, classes, matrix, options);
 }
 
 PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
@@ -588,7 +520,7 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
     if (std::optional<size_t> index = closer.index_of(nodes[s]))
       source_node[s] = *index;
 
-  unsigned threads = resolve_threads(options);
+  unsigned threads = sweep::resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
   std::vector<std::vector<uint8_t>> closures(dirty_index.size());
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
@@ -634,7 +566,7 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   }
 
   std::vector<uint8_t> reachable(node_count * node_count, 0);
-  CacheRef cache(options.cache, graph, options.metrics);
+  sweep::CacheRef cache(options.cache, graph, options.metrics);
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t d = dirty_index[i];
     net::Ipv4Address loopback = *loopbacks[d];
@@ -679,18 +611,7 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   stats.retraced = retrace_cells;
   stats.spliced = total_cells - retrace_cells;
   record(options, stats);
-
-  PairwiseResult result;
-  for (size_t s = 0; s < node_count; ++s) {
-    for (size_t d = 0; d < node_count; ++d) {
-      if (s == d || !loopbacks[d]) continue;
-      bool ok = reachable[s * node_count + d] != 0;
-      result.cells.push_back({nodes[s], nodes[d], ok});
-      ++result.total_pairs;
-      if (ok) ++result.reachable_pairs;
-    }
-  }
-  return result;
+  return sweep::pairwise_cells(nodes, loopbacks, reachable);
 }
 
 }  // namespace mfv::verify

@@ -1,144 +1,20 @@
 #include "verify/queries.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
 #include <set>
-#include <thread>
 
-#include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/incremental/incremental.hpp"
-#include "verify/trace_cache.hpp"
+#include "verify/sweep.hpp"
 
 namespace mfv::verify {
 
-namespace {
-
-std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
-                                           const QueryOptions& options) {
-  if (!options.sources.empty()) return options.sources;
-  return graph.nodes();
-}
-
-std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
-                                     const QueryOptions& options) {
-  if (options.scope) return compute_packet_classes(prefixes, *options.scope);
-  return compute_packet_classes(prefixes);
-}
-
-unsigned resolve_threads(const QueryOptions& options) {
-  if (options.threads != 0) return options.threads;
-  return util::ThreadPool::default_threads();
-}
-
-/// True when the memoized (TraceCache) engine should run; false selects
-/// the legacy per-flow walker.
-bool use_cached_engine(const QueryOptions& options, unsigned threads) {
-  switch (options.engine) {
-    case EngineMode::kLegacy: return false;
-    case EngineMode::kCached: return true;
-    case EngineMode::kAuto: return threads > 1;
-  }
-  return threads > 1;
-}
-
-bool row_passes(const QueryOptions& options, const DispositionSet& dispositions) {
-  return options.row_filter.empty() || dispositions.intersects(options.row_filter);
-}
-
-/// The memoization a query sweep uses: the caller's long-lived cache when
-/// provided (service / session path), else a fresh query-local one.
-class CacheRef {
- public:
-  CacheRef(TraceCache* shared, const ForwardingGraph& graph,
-           obs::MetricsRegistry* metrics) {
-    if (shared == nullptr) local_ = std::make_unique<TraceCache>(graph, metrics);
-    cache_ = shared != nullptr ? shared : local_.get();
-  }
-  TraceCache& operator*() { return *cache_; }
-
- private:
-  std::unique_ptr<TraceCache> local_;
-  TraceCache* cache_ = nullptr;
-};
-
-/// Resolves the per-shard latency histogram once per sweep (nullptr when
-/// no registry is attached) and times one shard around a callable.
-obs::Histogram* shard_latency_histogram(const QueryOptions& options) {
-  if (options.metrics == nullptr) return nullptr;
-  return &options.metrics->latency_histogram_us("verify_shard_latency_us");
-}
-
-template <typename Fn>
-void timed_shard(obs::Histogram* histogram, Fn&& fn) {
-  if (histogram == nullptr) {
-    fn();
-    return;
-  }
-  auto start = std::chrono::steady_clock::now();
-  fn();
-  histogram->observe(std::chrono::duration_cast<std::chrono::microseconds>(
-                         std::chrono::steady_clock::now() - start)
-                         .count());
-}
-
-}  // namespace
-
 ReachabilityResult reachability(const ForwardingGraph& graph, const QueryOptions& options) {
   if (options.incremental != nullptr) return incremental_reachability(graph, options);
-  ReachabilityResult result;
-  std::vector<PacketClass> classes = classes_for(graph.relevant_prefixes(), options);
-  std::vector<net::NodeName> sources = resolve_sources(graph, options);
-  result.classes = classes.size();
-
-  unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
-    // Legacy serial engine: one full walk per (source, class), bit-identical
-    // to the seed implementation (including path-truncation behavior).
-    for (const net::NodeName& source : sources) {
-      for (const PacketClass& cls : classes) {
-        TraceResult trace = trace_flow(graph, source, cls.representative(), options.trace);
-        ++result.flows;
-        if (!row_passes(options, trace.dispositions)) continue;
-        result.rows.push_back({source, cls, trace.dispositions});
-      }
-    }
-    return result;
-  }
-
-  // Sharded engine: one shard per packet class. Each shard resolves its
-  // class once (memoized per-node table when the cache is on) and fills a
-  // shard-indexed slice of the disposition matrix, so row content and
-  // order never depend on the worker count.
-  if (options.prime_lpm) graph.prime_class_lpm(classes);
-  const size_t class_count = classes.size();
-  std::vector<DispositionSet> matrix(sources.size() * class_count);
-  bool cached = use_cached_engine(options, threads);
-  CacheRef cache(options.cache, graph, options.metrics);
-  obs::Histogram* shard_latency = shard_latency_histogram(options);
-  util::parallel_for_shards(threads, class_count, [&](size_t c) {
-    timed_shard(shard_latency, [&] {
-      net::Ipv4Address representative = classes[c].representative();
-      if (cached) (*cache).warm(representative);
-      for (size_t s = 0; s < sources.size(); ++s) {
-        matrix[s * class_count + c] =
-            cached ? (*cache).dispositions(sources[s], representative)
-                   : trace_flow(graph, sources[s], representative, options.trace)
-                         .dispositions;
-      }
-    });
-  });
-
-  result.flows = sources.size() * class_count;
-  for (size_t s = 0; s < sources.size(); ++s) {
-    for (size_t c = 0; c < class_count; ++c) {
-      const DispositionSet& dispositions = matrix[s * class_count + c];
-      if (!row_passes(options, dispositions)) continue;
-      result.rows.push_back({sources[s], classes[c], dispositions});
-    }
-  }
-  return result;
+  std::vector<PacketClass> classes = sweep::classes_for(graph.relevant_prefixes(), options);
+  std::vector<net::NodeName> sources = sweep::resolve_sources(graph, options);
+  std::vector<DispositionSet> matrix = sweep::disposition_matrix(
+      graph, sources, classes, options, sweep::shard_latency_histogram(options));
+  return sweep::reachability_rows(sources, classes, matrix, options);
 }
 
 std::string DifferentialRow::to_string() const {
@@ -168,7 +44,7 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
   std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
 
-  std::vector<PacketClass> classes = classes_for(prefixes, options);
+  std::vector<PacketClass> classes = sweep::classes_for(prefixes, options);
   result.classes = classes.size();
 
   // Sources: union of both snapshots' devices (or the explicit list).
@@ -182,58 +58,27 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
     sources.assign(all.begin(), all.end());
   }
 
-  unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
-    for (const net::NodeName& source : sources) {
-      for (const PacketClass& cls : classes) {
-        TraceResult base_trace = trace_flow(base, source, cls.representative(), options.trace);
-        TraceResult candidate_trace =
-            trace_flow(candidate, source, cls.representative(), options.trace);
-        ++result.flows;
-        if (base_trace.dispositions == candidate_trace.dispositions) continue;
-        result.rows.push_back(
-            {source, cls, base_trace.dispositions, candidate_trace.dispositions});
-      }
-    }
-    return result;
-  }
-
+  // One shard per class resolves the class on both sides; only differing
+  // cells become rows, source-major.
   if (options.prime_lpm) {
     base.prime_class_lpm(classes);
     candidate.prime_class_lpm(classes);
   }
   const size_t class_count = classes.size();
-  bool cached = use_cached_engine(options, threads);
-  CacheRef base_cache(options.cache, base, options.metrics);
-  CacheRef candidate_cache(options.candidate_cache, candidate, options.metrics);
-  obs::Histogram* shard_latency = shard_latency_histogram(options);
-  // Cell (s, c): the two disposition sets plus a differ flag; only
-  // differing cells become rows, in source-major order like the legacy
-  // engine.
+  sweep::CacheRef base_cache(options.cache, base, options.metrics);
+  sweep::CacheRef candidate_cache(options.candidate_cache, candidate, options.metrics);
+  obs::Histogram* shard_latency = sweep::shard_latency_histogram(options);
   std::vector<DispositionSet> base_matrix(sources.size() * class_count);
   std::vector<DispositionSet> candidate_matrix(sources.size() * class_count);
-  std::vector<uint8_t> differs(sources.size() * class_count, 0);
-  util::parallel_for_shards(threads, class_count, [&](size_t c) {
-    timed_shard(shard_latency, [&] {
+  util::parallel_for_shards(sweep::resolve_threads(options), class_count, [&](size_t c) {
+    sweep::timed_shard(shard_latency, [&] {
       net::Ipv4Address representative = classes[c].representative();
-      if (cached) {
-        (*base_cache).warm(representative);
-        (*candidate_cache).warm(representative);
-      }
+      (*base_cache).warm(representative);
+      (*candidate_cache).warm(representative);
       for (size_t s = 0; s < sources.size(); ++s) {
         size_t cell = s * class_count + c;
-        if (cached) {
-          base_matrix[cell] = (*base_cache).dispositions(sources[s], representative);
-          candidate_matrix[cell] =
-              (*candidate_cache).dispositions(sources[s], representative);
-        } else {
-          base_matrix[cell] =
-              trace_flow(base, sources[s], representative, options.trace).dispositions;
-          candidate_matrix[cell] =
-              trace_flow(candidate, sources[s], representative, options.trace)
-                  .dispositions;
-        }
-        differs[cell] = base_matrix[cell] == candidate_matrix[cell] ? 0 : 1;
+        base_matrix[cell] = (*base_cache).dispositions(sources[s], representative);
+        candidate_matrix[cell] = (*candidate_cache).dispositions(sources[s], representative);
       }
     });
   });
@@ -242,7 +87,7 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
   for (size_t s = 0; s < sources.size(); ++s) {
     for (size_t c = 0; c < class_count; ++c) {
       size_t cell = s * class_count + c;
-      if (!differs[cell]) continue;
+      if (base_matrix[cell] == candidate_matrix[cell]) continue;
       result.rows.push_back(
           {sources[s], classes[c], base_matrix[cell], candidate_matrix[cell]});
     }
@@ -313,69 +158,30 @@ std::optional<net::Ipv4Address> device_loopback(const gnmi::Snapshot& snapshot,
 PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options) {
   if (options.incremental != nullptr) return incremental_pairwise(graph, options);
-  PairwiseResult result;
   std::vector<net::NodeName> nodes = graph.nodes();
 
-  unsigned threads = resolve_threads(options);
-  if (!use_cached_engine(options, threads) && threads <= 1) {
-    for (const net::NodeName& source : nodes) {
-      for (const net::NodeName& destination : nodes) {
-        if (source == destination) continue;
-        auto loopback = device_loopback(graph.snapshot(), destination);
-        if (!loopback) continue;
-        TraceResult trace = trace_flow(graph, source, *loopback, options.trace);
-        bool reachable = trace.reachable();
-        result.cells.push_back({source, destination, reachable});
-        ++result.total_pairs;
-        if (reachable) ++result.reachable_pairs;
-      }
-    }
-    return result;
-  }
-
   // Shard by destination device: its loopback's trace table is computed
-  // once (memoized) and shared by all sources. Cells are emitted
-  // source-major afterwards, matching the legacy ordering.
+  // once (memoized) and shared by all sources.
   const size_t node_count = nodes.size();
   std::vector<std::optional<net::Ipv4Address>> loopbacks(node_count);
   for (size_t d = 0; d < node_count; ++d)
     loopbacks[d] = device_loopback(graph.snapshot(), nodes[d]);
 
-  bool cached = use_cached_engine(options, threads);
-  CacheRef cache(options.cache, graph, options.metrics);
-  obs::Histogram* shard_latency = shard_latency_histogram(options);
+  sweep::CacheRef cache(options.cache, graph, options.metrics);
+  obs::Histogram* shard_latency = sweep::shard_latency_histogram(options);
   std::vector<uint8_t> reachable(node_count * node_count, 0);
-  util::parallel_for_shards(threads, node_count, [&](size_t d) {
+  util::parallel_for_shards(sweep::resolve_threads(options), node_count, [&](size_t d) {
     if (!loopbacks[d]) return;
-    timed_shard(shard_latency, [&] {
+    sweep::timed_shard(shard_latency, [&] {
       for (size_t s = 0; s < node_count; ++s) {
         if (s == d) continue;
         bool ok =
-            cached
-                ? (*cache).dispositions(nodes[s], *loopbacks[d]).contains(Disposition::kAccepted)
-                : trace_flow(graph, nodes[s], *loopbacks[d], options.trace).reachable();
+            (*cache).dispositions(nodes[s], *loopbacks[d]).contains(Disposition::kAccepted);
         reachable[s * node_count + d] = ok ? 1 : 0;
       }
     });
   });
-
-  for (size_t s = 0; s < node_count; ++s) {
-    for (size_t d = 0; d < node_count; ++d) {
-      if (s == d || !loopbacks[d]) continue;
-      bool ok = reachable[s * node_count + d] != 0;
-      result.cells.push_back({nodes[s], nodes[d], ok});
-      ++result.total_pairs;
-      if (ok) ++result.reachable_pairs;
-    }
-  }
-  return result;
-}
-
-PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
-                                     const TraceOptions& options) {
-  QueryOptions query;
-  query.trace = options;
-  return pairwise_reachability(graph, query);
+  return sweep::pairwise_cells(nodes, loopbacks, reachable);
 }
 
 }  // namespace mfv::verify

@@ -2,9 +2,9 @@
 // question layer of §4.2.
 //
 // All queries are exhaustive over the destination space: they enumerate the
-// packet-class partition and trace one representative per class, so "no
-// differences found" is a statement about every possible destination
-// address, not a sample.
+// packet-class partition and resolve one representative per class through
+// the memoized TraceCache engine, so "no differences found" is a statement
+// about every possible destination address, not a sample.
 #pragma once
 
 #include <optional>
@@ -24,25 +24,16 @@ class TraceCache;
 struct IncrementalBase;
 struct IncrementalStats;
 
-/// Engine selection. kAuto picks the memoized sharded engine whenever the
-/// query runs multi-threaded and the legacy per-flow walker when
-/// threads == 1 (bit-identical to the seed engine). kLegacy / kCached
-/// force one path regardless of thread count — e.g. for benchmarking
-/// cached-vs-uncached at equal parallelism.
-enum class EngineMode { kAuto, kLegacy, kCached };
-
 struct QueryOptions {
   /// Sources to inject at; empty = every device.
   std::vector<net::NodeName> sources;
   /// Restrict the destination space (e.g. to loopback ranges); nullopt =
   /// the full IPv4 space.
   std::optional<net::Ipv4Prefix> scope;
-  TraceOptions trace;
-  /// Worker threads for the query sweep: 0 = hardware concurrency,
-  /// 1 = serial legacy path. Results are identical for every thread
-  /// count (shard-indexed result slots; see util::parallel_for_shards).
+  /// Worker threads for the query sweep: 0 = hardware concurrency. Every
+  /// thread count runs the same memoized engine and gives byte-identical
+  /// results (shard-indexed result slots; see util::parallel_for_shards).
   unsigned threads = 0;
-  EngineMode engine = EngineMode::kAuto;
   /// If non-empty, only rows whose disposition set intersects this filter
   /// are materialized (flow/class counters still cover every flow) — e.g.
   /// detect_loops() filters on kLoop so success rows are never built.
@@ -178,8 +169,5 @@ struct PairwiseResult {
 /// destination's trace table is memoized once and shared by all sources.
 PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options = {});
-/// Convenience overload keeping the historical trace-options signature.
-PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
-                                     const TraceOptions& options);
 
 }  // namespace mfv::verify

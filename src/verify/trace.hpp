@@ -1,5 +1,6 @@
-// Multipath flow tracing over a forwarding graph (the engine behind
-// traceroute, reachability, and differential queries).
+// Multipath flow tracing over a forwarding graph: the per-flow walker
+// behind traceroute, and the reference the memoized sweep engine
+// (trace_cache.hpp) is fuzzed against.
 #pragma once
 
 #include <optional>

@@ -7,7 +7,7 @@ namespace mfv::verify {
 namespace {
 
 /// Per-class depth-first disposition solver. States are (node, carried
-/// MPLS label); loop detection is node-based like the legacy walker's
+/// MPLS label); loop detection is node-based like the per-flow walker's
 /// visited set, so a revisit of a device under *any* label state ends the
 /// path with kLoop.
 ///
@@ -72,7 +72,7 @@ class ClassSolver {
     uint64_t key = state_key(index, label);
     // The on-stack check must come BEFORE the memo lookup. A memoized
     // entry for (node, label') is context-free only in contexts where the
-    // node is not already on the path: the legacy walker's visited set is
+    // node is not already on the path: the per-flow walker's visited set is
     // node-based, so re-entering an on-stack device under a *different*
     // label state is a loop for this path even though the state's
     // context-free continuation (memoized from some other root, where the
@@ -82,7 +82,7 @@ class ClassSolver {
     // serial-vs-threaded fuzz oracle; regression in tests/fuzz_corpus/).
     if (node_on_stack_[index] > 0) {
       // Device already on the current path (under any label state): the
-      // legacy walker's node-based visited set calls this a loop. The
+      // per-flow walker's node-based visited set calls this a loop. The
       // verdict holds only for paths running through that on-stack
       // occurrence, so taint the result with the node — a cycle member
       // reached mid-cycle may still reach exits this truncated branch
@@ -96,7 +96,7 @@ class ClassSolver {
     if (auto it = memo_.find(key); it != memo_.end()) {
       // A memo entry is context-free only for callers whose path avoids
       // every node its subtree traverses: loop detection is node-based,
-      // so if any footprint node is already on the stack, the legacy
+      // so if any footprint node is already on the stack, the per-flow
       // walker would cut this continuation short with kLoop at that node
       // instead of running it to the recorded terminals. Re-expand in
       // context — the expansion deterministically reaches the on-stack
@@ -135,7 +135,7 @@ class ClassSolver {
     return outcome;
   }
 
-  /// One step of the legacy walker, disposition-only: label forwarding
+  /// One step of the per-flow walker, disposition-only: label forwarding
   /// until pop, then IP forwarding. Mirrors Tracer::walk in trace.cpp.
   Outcome expand(const net::NodeName& node, std::optional<uint32_t> label) {
     Outcome out;

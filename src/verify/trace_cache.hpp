@@ -1,22 +1,23 @@
 // Per-snapshot memoization of trace continuations.
 //
 // Forwarding of a packet is a function of (current device, packet class)
-// only — never of how the packet got there. The legacy engine ignores
-// this and re-walks the forwarding graph for every (source x class) pair,
-// an O(S*C*pathlen) sweep. TraceCache instead computes, per class, the
-// disposition set of *every* node in one depth-first pass over the
-// forwarding graph (memoizing each node's continuation), then serves all
-// S sources from that table: the S x C trace matrix becomes C
-// dynamic-programming passes — an algorithmic win independent of
-// threading.
+// only — never of how the packet got there. A per-flow walk (trace_flow)
+// ignores this and would re-walk the forwarding graph for every
+// (source x class) pair, an O(S*C*pathlen) sweep. TraceCache instead
+// computes, per class, the disposition set of *every* node in one
+// depth-first pass over the forwarding graph (memoizing each node's
+// continuation), then serves all S sources from that table: the S x C
+// trace matrix becomes C dynamic-programming passes — an algorithmic win
+// independent of threading. It is the only engine behind the sweep
+// queries (queries.hpp).
 //
-// Semantics match the legacy per-flow walker (trace.cpp) exactly, with
-// two documented exceptions, both unreachable in realistic snapshots:
-//   * path-enumeration truncation (TraceOptions.max_paths) can make the
-//     legacy walker *miss* dispositions on flows with > max_paths ECMP
+// Its disposition sets match the per-flow walker (trace.cpp, behind
+// traceroute) exactly, except where trace_flow's caps cut a walk short:
+//   * path-enumeration truncation (TraceOptions.max_paths) can make
+//     trace_flow *miss* dispositions on flows with > max_paths ECMP
 //     branches; the cache always reports the untruncated union;
-//   * a simple path longer than max_hops is reported as a loop by the
-//     legacy walker and by its true disposition here.
+//   * a simple path longer than max_hops is reported as a loop by
+//     trace_flow and by its true disposition here.
 // Loop detection is node-based, like the walker's visited set: a flow
 // revisiting a device in *any* label state is a loop. Continuations whose
 // loop verdict depends on the path taken (a node revisited in a different
@@ -45,7 +46,7 @@ struct TraceMemoEntry {
   /// Node indices the state's subtree traverses. Loop detection is
   /// node-based, so a memoized result is valid for a caller only when
   /// none of these nodes are already on the caller's path — otherwise
-  /// the legacy walker would have declared a loop at that node and the
+  /// the per-flow walker would have declared a loop at that node and the
   /// continuation recorded here never runs (found by the
   /// serial-vs-threaded fuzz oracle; regression in tests/fuzz_corpus/).
   std::vector<uint32_t> footprint;

@@ -258,7 +258,6 @@ TEST(ServiceLoopback, ParallelClientsMatchSerialSession) {
   ASSERT_TRUE(session.init_snapshot(topology, "base").ok());
   verify::QueryOptions engine_options;
   engine_options.threads = 1;
-  engine_options.engine = verify::EngineMode::kCached;
   const std::string expected_pairwise =
       VerificationService::render_pairwise(
           *session.pairwise_reachability("base", engine_options))

@@ -33,7 +33,6 @@ std::unique_ptr<emu::Emulation> boot(const emu::Topology& topology) {
 QueryOptions test_options() {
   QueryOptions options;
   options.threads = 2;
-  options.engine = EngineMode::kCached;
   return options;
 }
 

@@ -1,12 +1,16 @@
 // Parallel, memoized verification engine: results must be byte-identical
-// for every thread count and engine mode (determinism-by-default), the
-// TraceCache must stay correct when base/candidate snapshots differ, and
-// the packet-class partition must tile the scoped space exactly.
+// for every thread count (determinism-by-default) and match independent
+// per-flow trace_flow walks, the TraceCache must stay correct when
+// base/candidate snapshots differ, flows that trace_flow's path and hop
+// caps would cut short must get their exhaustive answer, and the
+// packet-class partition must tile the scoped space exactly.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <sstream>
 
+#include "fuzz/oracles.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/queries.hpp"
@@ -123,14 +127,21 @@ TEST_F(WorkloadFixture, ReachabilityIdenticalAcrossThreadCounts) {
   std::string expected = render(reachability(*graph_, serial));
   EXPECT_NE(expected.find("ACCEPTED"), std::string::npos);
   for (unsigned threads : {1u, 2u, 8u}) {
-    for (EngineMode engine : {EngineMode::kAuto, EngineMode::kLegacy, EngineMode::kCached}) {
-      QueryOptions options;
-      options.threads = threads;
-      options.engine = engine;
-      EXPECT_EQ(render(reachability(*graph_, options)), expected)
-          << "threads=" << threads << " engine=" << static_cast<int>(engine);
-    }
+    QueryOptions options;
+    options.threads = threads;
+    EXPECT_EQ(render(reachability(*graph_, options)), expected) << "threads=" << threads;
   }
+}
+
+// The thread-count comparisons above pit the engine against itself; this
+// one checks a real converged WAN against independent per-flow walks (the
+// fuzz `engines` oracle, run on the fixture's snapshot as a synthetic case).
+TEST_F(WorkloadFixture, EngineMatchesPerFlowWalker) {
+  fuzz::FuzzCase wan;
+  wan.mode = fuzz::Mode::kSynthetic;
+  wan.snapshot = graph_->snapshot();
+  std::optional<fuzz::Verdict> failure = fuzz::first_failure(wan, fuzz::kOracleEngines);
+  EXPECT_FALSE(failure.has_value()) << failure->detail;
 }
 
 TEST_F(WorkloadFixture, ScopedReachabilityIdenticalAcrossThreadCounts) {
@@ -247,8 +258,8 @@ TEST(TraceCacheDifferential, BaseAndCandidateTablesStayIndependent) {
       candidate_cache.dispositions("A", destination).contains(Disposition::kAccepted));
   EXPECT_EQ(base_cache.classes_cached(), 1u);
 
-  // The cached differential engine finds exactly what the legacy engine
-  // finds, and the regression is attributed to every upstream source.
+  // Every thread count finds the same differing rows, and the regression
+  // is attributed to every upstream source.
   QueryOptions serial;
   serial.threads = 1;
   DifferentialResult expected = differential_reachability(base, candidate, serial);
@@ -298,11 +309,11 @@ TEST(TraceCache, LoopDispositionsMatchLegacyWalker) {
   }
 }
 
-// Regression (serial-vs-threaded fuzz oracle): a label-switched cycle
-// spanning several label states, where the cycle is entered from nodes
-// that are themselves part of it. The memo must not serve a continuation
-// recorded from a root that saw the re-entered node fresh — the legacy
-// walker's visited set is node-based and calls the revisit a loop.
+// Regression (engines fuzz oracle): a label-switched cycle spanning
+// several label states, where the cycle is entered from nodes that are
+// themselves part of it. The memo must not serve a continuation recorded
+// from a root that saw the re-entered node fresh — trace_flow's visited
+// set is node-based and calls the revisit a loop.
 TEST(TraceCache, NestedLabelCycleMatchesLegacyWalker) {
   gnmi::Snapshot snapshot;
   auto make = [&](const std::string& node, const std::string& address) {
@@ -363,8 +374,7 @@ TEST(TraceCache, NestedLabelCycleMatchesLegacyWalker) {
   }
 }
 
-// Regression (serial-vs-threaded fuzz oracle, minimized from synthetic
-// seed 42): d1 pushes label 1 to d2, d2 swaps label 1 straight back to
+// Regression (engines fuzz oracle, minimized from synthetic seed 42): d1 pushes label 1 to d2, d2 swaps label 1 straight back to
 // d1, and d1 has no binding for it. Solving root d0 first memoizes
 // (d2, label 1) = NO_ROUTE — honest there, because d1 was off-path and
 // its missing binding terminates the walk. From root d1 that entry is a
@@ -419,7 +429,128 @@ TEST(TraceCache, MemoFootprintRespectsNodeBasedLoops) {
 }
 
 // ---------------------------------------------------------------------------
-// (c) Packet-class property: classes partition the scoped space exactly
+// (c) Exhaustive answers where trace_flow's caps would cut the walk short
+
+/// Hand-built static-route snapshot: every router owns 10.0.<n>.1/32 on
+/// `lo` and carries exactly one 203.0.113.0/24 entry.
+class StaticNet {
+ public:
+  /// `node` load-shares the prefix across the `next` routers' loopbacks.
+  void forward(const std::string& node, const std::vector<std::string>& next) {
+    aft::DeviceAft& device = router(node);
+    std::vector<std::pair<uint64_t, uint64_t>> group;
+    for (const std::string& hop_node : next) {
+      aft::NextHop hop;
+      hop.ip_address = loopback(hop_node);
+      group.push_back({device.aft.add_next_hop(hop), 1});
+    }
+    device.aft.set_ipv4_entry(
+        {pfx("203.0.113.0/24"), device.aft.add_group(group), "STATIC", 0});
+  }
+
+  /// `node` null-routes the prefix.
+  void drop(const std::string& node) {
+    aft::DeviceAft& device = router(node);
+    aft::NextHop hop;
+    hop.drop = true;
+    device.aft.set_ipv4_entry({pfx("203.0.113.0/24"),
+                               device.aft.add_group(device.aft.add_next_hop(hop)),
+                               "STATIC", 0});
+  }
+
+  /// `node` owns 203.0.113.1 on an attached /24.
+  void deliver(const std::string& node) {
+    aft::DeviceAft& device = router(node);
+    aft::InterfaceState& stub = device.interfaces["stub"];
+    stub.name = "stub";
+    stub.address = net::InterfaceAddress::parse("203.0.113.1/24");
+    aft::NextHop attached;
+    attached.interface = "stub";
+    device.aft.set_ipv4_entry({pfx("203.0.113.0/24"),
+                               device.aft.add_group(device.aft.add_next_hop(attached)),
+                               "CONNECTED", 0});
+  }
+
+  gnmi::Snapshot snapshot;
+
+ private:
+  net::Ipv4Address loopback(const std::string& node) {
+    auto [it, added] = ids_.emplace(node, ids_.size());
+    return addr("10.0." + std::to_string(it->second) + ".1");
+  }
+
+  aft::DeviceAft& router(const std::string& node) {
+    aft::DeviceAft& device = snapshot.devices[node];
+    device.node = node;
+    aft::InterfaceState& lo = device.interfaces["lo"];
+    lo.name = "lo";
+    lo.address = net::InterfaceAddress::parse(loopback(node).to_string() + "/32");
+    return device;
+  }
+
+  std::map<std::string, size_t> ids_;
+};
+
+QueryOptions toward_destination(const std::string& source, unsigned threads) {
+  QueryOptions options;
+  options.sources = {source};
+  options.scope = pfx("203.0.113.1/32");
+  options.threads = threads;
+  return options;
+}
+
+// A: N0..N7 each load-share to U_i and L_i, both of which forward to
+// N_{i+1}; N8 = T owns the destination. N0's group has a third hop, to X,
+// which drops. 256 equal-cost paths: a walk capped at 128 paths never
+// reaches X, the exhaustive engine must.
+TEST(ExhaustiveSweep, EcmpFanBeyondThePathCapReportsTheDrop) {
+  StaticNet net;
+  auto layer = [](int i) { return i == 8 ? std::string("T") : "N" + std::to_string(i); };
+  for (int i = 0; i < 8; ++i) {
+    std::string upper = "U" + std::to_string(i);
+    std::string lower = "L" + std::to_string(i);
+    std::vector<std::string> next = {upper, lower};
+    if (i == 0) next.push_back("X");
+    net.forward(layer(i), next);
+    net.forward(upper, {layer(i + 1)});
+    net.forward(lower, {layer(i + 1)});
+  }
+  net.deliver("T");
+  net.drop("X");
+  ForwardingGraph graph(net.snapshot);
+  ASSERT_TRUE(trace_flow(graph, "N0", addr("203.0.113.1")).truncated);
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ReachabilityResult result = reachability(graph, toward_destination("N0", threads));
+    ASSERT_EQ(result.rows.size(), 1u) << threads;
+    EXPECT_EQ(result.rows[0].dispositions.to_string(), "ACCEPTED|NULL_ROUTED") << threads;
+  }
+}
+
+// B: a 70-router loop-free chain. A walk capped at 64 hops calls it a
+// loop; the exhaustive engine must deliver, and find no loop rows.
+TEST(ExhaustiveSweep, ChainLongerThanTheHopCapIsNotALoop) {
+  StaticNet net;
+  for (int i = 0; i < 69; ++i)
+    net.forward("C" + std::to_string(i), {"C" + std::to_string(i + 1)});
+  net.deliver("C69");
+  ForwardingGraph graph(net.snapshot);
+  ASSERT_TRUE(trace_flow(graph, "C0", addr("203.0.113.1"))
+                  .dispositions.contains(Disposition::kLoop));
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    ReachabilityResult result = reachability(graph, toward_destination("C0", threads));
+    ASSERT_EQ(result.rows.size(), 1u) << threads;
+    EXPECT_EQ(result.rows[0].dispositions.to_string(), "ACCEPTED") << threads;
+    QueryOptions loops;
+    loops.sources = {"C0"};
+    loops.threads = threads;
+    EXPECT_TRUE(detect_loops(graph, loops).rows.empty()) << threads;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// (d) Packet-class property: classes partition the scoped space exactly
 
 class ScopedPacketClassProperty : public ::testing::TestWithParam<uint64_t> {};
 
