@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <functional>
+#include <tuple>
 
 #include "util/cow.hpp"
 #include "util/thread_pool.hpp"
@@ -29,6 +30,22 @@ std::string perturbation_to_string(const Perturbation& perturbation) {
 }
 
 namespace {
+
+/// Cells reachable in `base` but not in `fork`: one merge over the two
+/// cell lists, which are both source-major in node-name order.
+size_t broken_pairs(const verify::PairwiseResult& base, const verify::PairwiseResult& fork) {
+  auto key = [](const verify::PairwiseCell& cell) {
+    return std::tie(cell.source, cell.destination);
+  };
+  size_t broken = 0;
+  auto b = base.cells.begin();
+  for (const verify::PairwiseCell& cell : fork.cells) {
+    while (b != base.cells.end() && key(*b) < key(cell)) ++b;
+    if (b == base.cells.end()) break;
+    if (!cell.reachable && b->reachable && key(*b) == key(cell)) ++broken;
+  }
+  return broken;
+}
 
 util::Json port_to_json(const net::PortRef& port) {
   util::Json j = util::Json::object();
@@ -173,8 +190,6 @@ ScenarioRunner::ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions
       base_snapshot_(gnmi::Snapshot::capture(base, "base")),
       base_graph_(base_snapshot_) {
   base_pairwise_ = verify::pairwise_reachability(base_graph_, options_.verify);
-  for (const verify::PairwiseCell& cell : base_pairwise_.cells)
-    if (cell.reachable) base_reachable_.insert({cell.source, cell.destination});
   if (options_.incremental)
     incremental_base_ = verify::capture_incremental_base(base_graph_, options_.verify);
 }
@@ -238,9 +253,7 @@ util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
       verify_options.incremental_stats = &result.incremental;
     }
     result.pairwise = verify::pairwise_reachability(graph, verify_options);
-    for (const verify::PairwiseCell& cell : result.pairwise.cells)
-      if (!cell.reachable && base_reachable_.count({cell.source, cell.destination}) > 0)
-        ++result.broken_pairs;
+    result.broken_pairs = broken_pairs(base_pairwise_, result.pairwise);
     if (options_.keep_snapshots) result.snapshot = std::move(snapshot);
   });
 

@@ -16,7 +16,6 @@
 // tests/test_scenario_fork.cpp and spelled out in DESIGN.md.
 #pragma once
 
-#include <set>
 #include <string>
 #include <utility>
 #include <variant>
@@ -159,8 +158,6 @@ class ScenarioRunner {
   gnmi::Snapshot base_snapshot_;
   verify::ForwardingGraph base_graph_;
   verify::PairwiseResult base_pairwise_;
-  /// Base-reachable (source, destination) pairs, for broken_pairs.
-  std::set<std::pair<net::NodeName, net::NodeName>> base_reachable_;
   /// Base verify result in splice-ready form (incremental option only);
   /// immutable after the constructor, shared read-only across shards.
   std::unique_ptr<verify::IncrementalBase> incremental_base_;

@@ -195,7 +195,6 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
           // through the entry cache fully warms it as a side effect.
           verify::QueryOptions capture;
           capture.threads = options_.query_threads;
-          capture.prime_lpm = false;
           capture.cache = entry->cache.get();
           capture.metrics = metrics_;
           entry->verify_base =
@@ -234,9 +233,6 @@ verify::QueryOptions VerificationService::query_options(
     const Request& request, const StoredSnapshot& entry) const {
   verify::QueryOptions options;
   options.threads = options_.query_threads;
-  // The graph is shared by every concurrent request on this snapshot:
-  // priming would mutate it, the shared TraceCache is the safe substitute.
-  options.prime_lpm = false;
   options.cache = entry.cache.get();
   options.metrics = metrics_;
   if (const util::Json* sources = find_param(request, "sources");

@@ -28,11 +28,11 @@
 // ring-buffer SpanCollector that records a causal span per request with
 // converge/verify child spans.
 //
-// Concurrency contract: stored snapshots are immutable once built; all
-// queries run with prime_lpm=false (the graph is shared and priming
-// mutates it) and share the entry's thread-safe TraceCache, so N
-// concurrent queries on one snapshot are both safe and byte-identical to
-// serial execution.
+// Concurrency contract: stored snapshots are immutable once built (the
+// compiled ForwardingGraph never mutates after construction) and all
+// queries share the entry's thread-safe TraceCache, so N concurrent
+// queries on one snapshot are both safe and byte-identical to serial
+// execution.
 #pragma once
 
 #include <atomic>

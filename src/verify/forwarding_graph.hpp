@@ -1,96 +1,125 @@
 // Forwarding-graph model of a dataplane snapshot.
 //
-// Indexes a gnmi::Snapshot for fast per-hop resolution: per-device LPM
-// tries over the AFT entries, an address-ownership map (who answers for a
-// next-hop IP), and per-device connected subnets (attached delivery). This
-// is the "formally model the dataplane" stage of §4.2 — everything the
-// trace walker and the exhaustive queries need.
+// Compiles a gnmi::Snapshot once, at construction, into immutable tables
+// indexed by dense node id (ids follow the snapshot's name order): a
+// sorted-interval LPM table per node, next hops pre-resolved per next-hop
+// group (next node, egress filter, the next node's ingress filter for the
+// hop address, label op), per-node label tables, an address -> owner
+// table and per-node connected subnets. This is the "formally model the
+// dataplane" stage of §4.2 — everything the trace walker and the
+// exhaustive queries need. Nothing mutates after construction, so one
+// graph serves any number of concurrent queries.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "gnmi/gnmi.hpp"
-#include "net/prefix_trie.hpp"
-#include "verify/packet_classes.hpp"
 
 namespace mfv::verify {
 
 class ForwardingGraph {
  public:
+  using NodeId = uint32_t;
+  static constexpr NodeId kNoNode = UINT32_MAX;
+  using Acl = std::vector<aft::AclRule>;
+
+  /// One next hop, resolved at compile time.
+  struct Hop {
+    /// The AFT next hop it was compiled from (rendering, trace detail).
+    const aft::NextHop* source = nullptr;
+    /// Owner of the hop address; kNoNode when the hop has no address or
+    /// no up default-instance interface holds it.
+    NodeId next = kNoNode;
+    /// acl_out of the egress interface (nullptr = unfiltered).
+    const Acl* egress_acl = nullptr;
+    /// acl_in of `next`'s interface holding the hop address (nullptr =
+    /// unfiltered).
+    const Acl* ingress_acl = nullptr;
+    bool drop = false;
+    /// True when the hop carries an address; false = attached (the packet
+    /// moves to whoever owns the destination).
+    bool addressed = false;
+    aft::LabelOp label_op = aft::LabelOp::kNone;
+    uint32_t label = 0;
+  };
+
+  /// One FIB entry with its group's resolved hops (empty when the group is
+  /// missing; dangling hop indices are skipped).
+  struct Route {
+    const aft::Ipv4Entry* entry = nullptr;
+    std::span<const Hop> hops;
+  };
+
   explicit ForwardingGraph(const gnmi::Snapshot& snapshot);
+  // The compiled tables point into snapshot_.
+  ForwardingGraph(const ForwardingGraph&) = delete;
+  ForwardingGraph& operator=(const ForwardingGraph&) = delete;
 
   const gnmi::Snapshot& snapshot() const { return snapshot_; }
 
-  std::vector<net::NodeName> nodes() const;
-  bool has_node(const net::NodeName& node) const {
-    return snapshot_.devices.count(node) > 0;
+  /// Node names in id order (the snapshot's name order).
+  const std::vector<net::NodeName>& nodes() const { return names_; }
+  size_t node_count() const { return names_.size(); }
+  const net::NodeName& name(NodeId node) const { return names_[node]; }
+  std::optional<NodeId> id_of(const net::NodeName& node) const;
+
+  /// LPM match of `destination` on `node`; nullptr = no route.
+  const Route* route(NodeId node, net::Ipv4Address destination) const;
+  /// Every FIB entry of `node`, in prefix order.
+  std::span<const Route> routes(NodeId node) const { return compiled_[node].routes; }
+  /// Resolved hops bound to MPLS `label` on `node` (empty = no binding, or
+  /// a dangling group).
+  std::span<const Hop> label_hops(NodeId node, uint32_t label) const;
+  /// Every label binding of `node`, in label order.
+  std::span<const std::pair<uint32_t, std::span<const Hop>>> labels(NodeId node) const {
+    return compiled_[node].labels;
   }
 
-  /// LPM lookup of `destination` in `node`'s AFT.
-  const aft::Ipv4Entry* lookup(const net::NodeName& node,
-                               net::Ipv4Address destination) const;
-
-  /// MPLS label lookup in `node`'s AFT (LSP following).
-  const aft::LabelEntry* lookup_label(const net::NodeName& node, uint32_t label) const;
-  std::vector<aft::NextHop> label_next_hops(const net::NodeName& node,
-                                            const aft::LabelEntry& entry) const;
-
-  /// Resolved next hops of an entry on a node (empty if the group is
-  /// dangling — treated as unreachable by the walker).
-  std::vector<aft::NextHop> next_hops(const net::NodeName& node,
-                                      const aft::Ipv4Entry& entry) const;
-
-  /// Device owning `address` on an operationally-up interface.
-  std::optional<net::NodeName> address_owner(net::Ipv4Address address) const;
-
-  /// True if `node` owns `address` on an up interface.
-  bool owns(const net::NodeName& node, net::Ipv4Address address) const;
-
+  /// Device owning `address` on an up default-instance interface (the last
+  /// such device in name order wins); kNoNode = none.
+  NodeId owner(net::Ipv4Address address) const;
+  /// acl_in of the first up interface of `node` (in interface-name order)
+  /// holding `address`; nullptr = no such interface, or no filter.
+  const Acl* ingress_acl(NodeId node, net::Ipv4Address address) const;
   /// True if `address` falls in one of `node`'s up connected subnets.
-  bool on_connected_subnet(const net::NodeName& node, net::Ipv4Address address) const;
+  bool on_connected_subnet(NodeId node, net::Ipv4Address address) const;
 
-  /// Interface state lookup (packet filters, addresses).
-  const aft::InterfaceState* interface_state(const net::NodeName& node,
-                                             const net::InterfaceName& interface) const;
-  /// The up interface of `node` owning `address` (ingress resolution).
-  const aft::InterfaceState* interface_owning(const net::NodeName& node,
-                                              net::Ipv4Address address) const;
-
-  /// Applies the egress filter of (node, interface) to `destination`.
-  /// True = forward; absent filter permits.
-  bool egress_permits(const net::NodeName& node, const net::InterfaceName& interface,
-                      net::Ipv4Address destination) const;
-  /// Applies the ingress filter of the interface owning `via` on `node`.
-  bool ingress_permits(const net::NodeName& node, net::Ipv4Address via,
-                       net::Ipv4Address destination) const;
+  /// Verdict of an optional packet filter; an absent filter permits.
+  static bool permits(const Acl* acl, net::Ipv4Address destination) {
+    return acl == nullptr || aft::acl_permits(*acl, destination);
+  }
 
   /// Every distinct prefix that shapes forwarding anywhere: all FIB
   /// prefixes plus all interface subnets and addresses. The packet-class
   /// partition is computed from this set.
   std::vector<net::Ipv4Prefix> relevant_prefixes() const;
 
-  /// Precomputes, for every node, the LPM resolution of each class
-  /// representative; lookup() then serves those exact addresses from a
-  /// flat hash table instead of descending the trie — the per-hop cost of
-  /// a query sweep stops paying the trie walk. Idempotent and cumulative
-  /// across partitions (differential queries prime both snapshots with
-  /// the union partition). Not safe against concurrent lookup(): prime
-  /// before the parallel phase of a query.
-  void prime_class_lpm(const std::vector<PacketClass>& classes) const;
-
  private:
+  struct CompiledNode {
+    /// LPM as sorted disjoint intervals: lpm_routes[i] answers every
+    /// address in [lpm_starts[i], lpm_starts[i + 1]); lpm_starts[0] == 0.
+    std::vector<uint32_t> lpm_starts;
+    std::vector<const Route*> lpm_routes;
+    std::vector<Route> routes;
+    /// Resolved hops of every next-hop group, group by group.
+    std::vector<Hop> hops;
+    std::vector<std::pair<uint32_t, std::span<const Hop>>> labels;
+    /// Address -> acl_in of the first up interface holding it, by address.
+    std::vector<std::pair<uint32_t, const Acl*>> ingress;
+    std::vector<net::Ipv4Prefix> connected;
+  };
+
+  void compile_node(NodeId id, const aft::DeviceAft& device);
+
   gnmi::Snapshot snapshot_;
-  std::map<net::NodeName, net::PrefixTrie<const aft::Ipv4Entry*>> tries_;
-  std::map<uint32_t, net::NodeName> owners_;  // address bits -> node
-  std::map<net::NodeName, std::vector<net::Ipv4Prefix>> connected_;
-  /// Primed per-representative LPM results (nullptr = cached "no route").
-  mutable std::map<net::NodeName,
-                   std::unordered_map<uint32_t, const aft::Ipv4Entry*>>
-      lpm_index_;
+  std::vector<net::NodeName> names_;
+  std::vector<CompiledNode> compiled_;
+  /// Address -> owner, sorted by address.
+  std::vector<std::pair<uint32_t, NodeId>> owners_;
 };
 
 }  // namespace mfv::verify

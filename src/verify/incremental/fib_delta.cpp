@@ -26,7 +26,7 @@ std::vector<HopBehavior> resolved_hops(const aft::Aft& aft, uint64_t group_id) {
   if (group == nullptr) return hops;
   for (const auto& [index, weight] : group->next_hops) {
     const aft::NextHop* hop = aft.next_hop(index);
-    // Dangling indices are skipped exactly like ForwardingGraph::next_hops.
+    // Dangling indices are skipped exactly like the ForwardingGraph compile.
     if (hop == nullptr) continue;
     hops.emplace_back(weight, hop->ip_address, hop->interface, hop->drop,
                       hop->label_op, hop->label);
@@ -113,27 +113,18 @@ FibDelta inexpressible(std::string reason) {
   return delta;
 }
 
-bool ranges_intersect(const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
-                      uint32_t first, uint32_t last) {
+}  // namespace
+
+bool FibDelta::intersects(const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
+                          net::Ipv4Address first, net::Ipv4Address last) {
   // First range that could still cover `first` (ranges are sorted and
   // disjoint, so the candidate is the one with the smallest hi >= first).
   auto it = std::partition_point(
       ranges.begin(), ranges.end(),
-      [&](const std::pair<uint32_t, uint32_t>& range) { return range.second < first; });
-  return it != ranges.end() && it->first <= last;
-}
-
-}  // namespace
-
-bool FibDelta::dirty(net::Ipv4Address first, net::Ipv4Address last) const {
-  return ranges_intersect(dirty_ranges, first.bits(), last.bits());
-}
-
-bool FibDelta::node_dirty(const net::NodeName& node, net::Ipv4Address first,
-                          net::Ipv4Address last) const {
-  auto it = node_dirty_ranges.find(node);
-  return it != node_dirty_ranges.end() &&
-         ranges_intersect(it->second, first.bits(), last.bits());
+      [&](const std::pair<uint32_t, uint32_t>& range) {
+        return range.second < first.bits();
+      });
+  return it != ranges.end() && it->first <= last.bits();
 }
 
 FibDelta diff_fibs(const gnmi::Snapshot& base, const gnmi::Snapshot& candidate) {
@@ -335,26 +326,33 @@ FibDelta diff_fibs(const gnmi::Snapshot& base, const gnmi::Snapshot& candidate) 
 std::vector<net::NodeName> close_dirty_nodes(
     const FibDelta& delta, const ForwardingGraph& candidate,
     const std::vector<PacketClass>& dirty_classes) {
-  std::set<net::NodeName> closed;
-  std::vector<net::NodeName> frontier;
+  using NodeId = ForwardingGraph::NodeId;
+  std::vector<uint8_t> closed(candidate.node_count(), 0);
+  std::vector<NodeId> frontier;
+  auto reach = [&](NodeId node) {
+    if (node == ForwardingGraph::kNoNode || closed[node]) return;
+    closed[node] = 1;
+    frontier.push_back(node);
+  };
   for (const auto& [node, counts] : delta.nodes)
-    if (candidate.has_node(node) && closed.insert(node).second) frontier.push_back(node);
+    reach(candidate.id_of(node).value_or(ForwardingGraph::kNoNode));
   while (!frontier.empty()) {
-    net::NodeName node = std::move(frontier.back());
+    NodeId node = frontier.back();
     frontier.pop_back();
     for (const PacketClass& cls : dirty_classes) {
       net::Ipv4Address representative = cls.representative();
-      const aft::Ipv4Entry* entry = candidate.lookup(node, representative);
-      if (entry == nullptr) continue;
-      for (const aft::NextHop& hop : candidate.next_hops(node, *entry)) {
+      const ForwardingGraph::Route* route = candidate.route(node, representative);
+      if (route == nullptr) continue;
+      for (const ForwardingGraph::Hop& hop : route->hops) {
         if (hop.drop) continue;
-        std::optional<net::NodeName> next =
-            candidate.address_owner(hop.ip_address ? *hop.ip_address : representative);
-        if (next && closed.insert(*next).second) frontier.push_back(*next);
+        reach(hop.addressed ? hop.next : candidate.owner(representative));
       }
     }
   }
-  return {closed.begin(), closed.end()};
+  std::vector<net::NodeName> names;
+  for (NodeId node = 0; node < candidate.node_count(); ++node)
+    if (closed[node]) names.push_back(candidate.name(node));
+  return names;
 }
 
 }  // namespace mfv::verify

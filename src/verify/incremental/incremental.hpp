@@ -29,13 +29,13 @@
 
 namespace mfv::verify {
 
-/// Cached reverse forwarding adjacency of the base graph, built lazily
-/// per base class the first time an incremental query's closure touches
-/// it (thread-safe: one once_flag per class) and shared read-only by
-/// every later query forking from the same base. Sound because base
-/// forwarding at a class representative is uniform over the containing
-/// base class — every FIB prefix and interface subnet/host range is a
-/// partition boundary. Definition is splicer.cpp-internal.
+/// Cached reverse forwarding adjacency of the base graph, by node id,
+/// built lazily per base class the first time an incremental query's
+/// closure touches it (thread-safe: one once_flag per class) and shared
+/// read-only by every later query forking from the same base. Sound
+/// because base forwarding at a class representative is uniform over the
+/// containing base class — every FIB prefix and interface subnet/host
+/// range is a partition boundary. Definition is splicer.cpp-internal.
 struct SpliceAdjacency;
 
 /// The base snapshot's verify result in splice-ready form: the full
@@ -56,9 +56,10 @@ struct IncrementalBase {
   std::vector<PacketClass> classes;
   /// Row-major: matrix[s * classes.size() + c].
   std::vector<DispositionSet> matrix;
-  /// Per-base-class reverse adjacency memo (see SpliceAdjacency). Mutable
-  /// so closure() can fill it behind a const base; the internal once_flags
-  /// make concurrent fills safe.
+  /// Per-base-class reverse adjacency memo (see SpliceAdjacency), always
+  /// allocated by capture_incremental_base. Mutable so closure() can fill
+  /// it behind a const base; the internal once_flags make concurrent
+  /// fills safe.
   mutable std::unique_ptr<SpliceAdjacency> adjacency;
 
   IncrementalBase();
@@ -142,11 +143,14 @@ struct FibDelta {
   std::map<net::NodeName, std::vector<std::pair<uint32_t, uint32_t>>> node_dirty_ranges;
 
   /// True if [first, last] intersects any dirty range.
-  bool dirty(net::Ipv4Address first, net::Ipv4Address last) const;
+  bool dirty(net::Ipv4Address first, net::Ipv4Address last) const {
+    return intersects(dirty_ranges, first, last);
+  }
   bool dirty(net::Ipv4Address address) const { return dirty(address, address); }
-  /// True if [first, last] intersects `node`'s own dirty ranges.
-  bool node_dirty(const net::NodeName& node, net::Ipv4Address first,
-                  net::Ipv4Address last) const;
+  /// True if [first, last] intersects one of the sorted, disjoint `ranges`
+  /// (dirty_ranges, or one node's node_dirty_ranges).
+  static bool intersects(const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
+                         net::Ipv4Address first, net::Ipv4Address last);
 
   size_t entries_added = 0;
   size_t entries_removed = 0;

@@ -43,7 +43,7 @@ struct SpliceAdjacency {
       : built(class_count), columns(class_count) {}
 
   std::vector<std::once_flag> built;
-  /// columns[base_class][node] -> upstream node indices (base graph).
+  /// columns[base_class][node id] -> upstream node ids (base graph).
   std::vector<std::vector<std::vector<uint32_t>>> columns;
   std::once_flag label_built;
   /// Label-forwarding reverse edges (identical on both snapshots — a
@@ -88,7 +88,7 @@ struct Preflight {
 Preflight preflight(const ForwardingGraph& graph, const QueryOptions& options) {
   Preflight p;
   p.base = options.incremental;
-  if (p.base == nullptr || p.base->graph == nullptr) {
+  if (p.base == nullptr || p.base->graph == nullptr || p.base->adjacency == nullptr) {
     p.fallback = "no-base";
     return p;
   }
@@ -120,37 +120,33 @@ enum class ColumnMode : uint8_t {
   kRetrace,  // dirty with no usable base column: re-trace every cell
 };
 
-/// Per-query context for the per-cell closure: a dense node index (the
-/// node sets are identical — a node-set delta is inexpressible) over the
+/// Per-query context for the per-cell closure, by node id (base and
+/// candidate share ids — a node-set delta is inexpressible), over the
 /// base's SpliceAdjacency memo. closure() fills the memo lazily under its
 /// once_flags and otherwise allocates locally, so dirty columns can run
 /// it in parallel and concurrent queries can share one base.
 class SpliceCloser {
  public:
-  SpliceCloser(const IncrementalBase& base, const ForwardingGraph& candidate)
+  using NodeId = ForwardingGraph::NodeId;
+  using Reverse = std::vector<std::vector<uint32_t>>;  // node id -> upstream ids
+
+  SpliceCloser(const IncrementalBase& base, const ForwardingGraph& candidate,
+               const FibDelta& delta)
       : base_(base),
         base_graph_(*base.graph),
         candidate_(candidate),
-        nodes_(candidate.nodes()) {
-    for (size_t i = 0; i < nodes_.size(); ++i) index_.emplace(nodes_[i], i);
-    // Without a memo (defensively: capture always allocates one) the
-    // label edges are rebuilt per query, as the pre-memo code did.
-    if (base_.adjacency == nullptr) local_label_ = label_edges();
+        memo_(*base.adjacency) {
+    // Each dirty node's ranges, resolved to its id once per query.
+    for (const auto& [node, ranges] : delta.node_dirty_ranges)
+      if (std::optional<NodeId> id = candidate.id_of(node)) dirty_.emplace_back(*id, &ranges);
   }
 
-  const std::vector<net::NodeName>& nodes() const { return nodes_; }
-
-  std::optional<size_t> index_of(const net::NodeName& node) const {
-    auto it = index_.find(node);
-    if (it == index_.end()) return std::nullopt;
-    return it->second;
-  }
-
-  /// Nodes whose class-`representative` flows can meet a node of `seeds`
-  /// on either snapshot: reverse reachability of the seed set over the
-  /// base and candidate forwarding edges at the representative, plus the
-  /// label edges. A source outside the set traces the representative
-  /// identically on both snapshots (DESIGN.md §11).
+  /// Nodes whose class-`representative` flows can meet a node dirty for
+  /// the representative on either snapshot: reverse reachability of that
+  /// seed set over the base and candidate forwarding edges at the
+  /// representative, plus the label edges. A source outside the set
+  /// traces the representative identically on both snapshots (DESIGN.md
+  /// §11).
   ///
   /// The base side comes from the per-base-class memo (`base_class` is
   /// the class containing `representative` — uniformity makes the cached
@@ -162,115 +158,91 @@ class SpliceCloser {
   /// rewrites attached-hop edges of clean nodes too; then the closure
   /// walks every candidate node for this column (rare: ownership moves
   /// only on interface re-addressing).
-  std::vector<uint8_t> closure(net::Ipv4Address representative, size_t base_class,
-                               const std::vector<size_t>& seeds) const {
-    SpliceAdjacency* memo = base_.adjacency.get();
-    std::vector<std::vector<uint32_t>> local_base;
-    const std::vector<std::vector<uint32_t>>* base_reverse;
-    if (memo != nullptr) {
-      std::call_once(memo->built[base_class], [&] {
-        memo->columns[base_class] = forwarding_edges(
-            base_graph_, base_.classes[base_class].representative());
-      });
-      base_reverse = &memo->columns[base_class];
-    } else {
-      local_base = forwarding_edges(base_graph_, representative);
-      base_reverse = &local_base;
-    }
-    const std::vector<std::vector<uint32_t>>* label_reverse;
-    if (memo != nullptr) {
-      std::call_once(memo->label_built, [&] { memo->label_reverse = label_edges(); });
-      label_reverse = &memo->label_reverse;
-    } else {
-      label_reverse = &local_label_;
-    }
+  std::vector<uint8_t> closure(net::Ipv4Address representative, size_t base_class) const {
+    std::call_once(memo_.built[base_class], [&] {
+      memo_.columns[base_class] =
+          forwarding_edges(base_graph_, base_.classes[base_class].representative());
+    });
+    std::call_once(memo_.label_built, [&] { memo_.label_reverse = label_edges(); });
+    const Reverse& base_reverse = memo_.columns[base_class];
+    const Reverse& label_reverse = memo_.label_reverse;
 
-    std::vector<std::vector<uint32_t>> overlay(nodes_.size());
-    if (base_graph_.address_owner(representative) ==
-        candidate_.address_owner(representative)) {
-      for (size_t seed : seeds) candidate_edges_from(seed, representative, overlay);
-    } else {
-      for (size_t i = 0; i < nodes_.size(); ++i)
-        candidate_edges_from(i, representative, overlay);
-    }
+    std::vector<NodeId> seeds;
+    for (const auto& [node, ranges] : dirty_)
+      if (FibDelta::intersects(*ranges, representative, representative)) seeds.push_back(node);
 
-    std::vector<uint8_t> in_closure(nodes_.size(), 0);
-    std::vector<size_t> frontier;
-    for (size_t seed : seeds) {
-      if (in_closure[seed]) continue;
-      in_closure[seed] = 1;
-      frontier.push_back(seed);
+    // Candidate edges as sorted (downstream, upstream) pairs.
+    std::vector<std::pair<NodeId, NodeId>> overlay;
+    NodeId owner = candidate_.owner(representative);
+    if (base_graph_.owner(representative) == owner) {
+      for (NodeId seed : seeds) add_edges(candidate_, seed, representative, owner, overlay);
+    } else {
+      for (NodeId node = 0; node < candidate_.node_count(); ++node)
+        add_edges(candidate_, node, representative, owner, overlay);
     }
+    std::sort(overlay.begin(), overlay.end());
+
+    std::vector<uint8_t> in_closure(candidate_.node_count(), 0);
+    std::vector<NodeId> frontier;
+    auto reach = [&](NodeId node) {
+      if (in_closure[node]) return;
+      in_closure[node] = 1;
+      frontier.push_back(node);
+    };
+    for (NodeId seed : seeds) reach(seed);
     while (!frontier.empty()) {
-      size_t node = frontier.back();
+      NodeId node = frontier.back();
       frontier.pop_back();
-      const std::vector<uint32_t>* edge_lists[] = {
-          &(*base_reverse)[node], &(*label_reverse)[node], &overlay[node]};
-      for (const std::vector<uint32_t>* edges : edge_lists) {
-        for (uint32_t upstream : *edges) {
-          if (in_closure[upstream]) continue;
-          in_closure[upstream] = 1;
-          frontier.push_back(upstream);
-        }
-      }
+      for (uint32_t upstream : base_reverse[node]) reach(upstream);
+      for (uint32_t upstream : label_reverse[node]) reach(upstream);
+      for (auto it = std::lower_bound(overlay.begin(), overlay.end(),
+                                      std::pair<NodeId, NodeId>(node, 0));
+           it != overlay.end() && it->first == node; ++it)
+        reach(it->second);
     }
     return in_closure;
   }
 
  private:
-  void add_reverse_edge(const ForwardingGraph& graph,
-                        std::vector<std::vector<uint32_t>>& reverse,
-                        net::Ipv4Address via, size_t from) const {
-    std::optional<net::NodeName> owner = graph.address_owner(via);
-    if (!owner) return;
-    auto it = index_.find(*owner);
-    if (it != index_.end()) reverse[it->second].push_back(static_cast<uint32_t>(from));
+  /// Forwarding edges out of `node` on `graph` at `representative`, as
+  /// (downstream, node) pairs. Addressed hops move to the hop owner,
+  /// attached hops to the destination owner (`owner`) — mirror of
+  /// Tracer::walk / ClassSolver.
+  static void add_edges(const ForwardingGraph& graph, NodeId node,
+                        net::Ipv4Address representative, NodeId owner,
+                        std::vector<std::pair<NodeId, NodeId>>& edges) {
+    const ForwardingGraph::Route* route = graph.route(node, representative);
+    if (route == nullptr) return;
+    for (const ForwardingGraph::Hop& hop : route->hops) {
+      if (hop.drop) continue;
+      NodeId next = hop.addressed ? hop.next : owner;
+      if (next != ForwardingGraph::kNoNode) edges.emplace_back(next, node);
+    }
   }
 
   /// Reverse forwarding edges of `graph` at `representative`, all nodes.
-  std::vector<std::vector<uint32_t>> forwarding_edges(
-      const ForwardingGraph& graph, net::Ipv4Address representative) const {
-    std::vector<std::vector<uint32_t>> reverse(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      const aft::Ipv4Entry* entry = graph.lookup(nodes_[i], representative);
-      if (entry == nullptr) continue;
-      for (const aft::NextHop& hop : graph.next_hops(nodes_[i], *entry)) {
-        if (hop.drop) continue;
-        // Addressed hops move to the hop owner, attached hops to the
-        // destination owner — mirror of Tracer::walk / ClassSolver.
-        add_reverse_edge(graph, reverse,
-                         hop.ip_address ? *hop.ip_address : representative, i);
-      }
-    }
+  static Reverse forwarding_edges(const ForwardingGraph& graph,
+                                  net::Ipv4Address representative) {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    NodeId owner = graph.owner(representative);
+    for (NodeId node = 0; node < graph.node_count(); ++node)
+      add_edges(graph, node, representative, owner, edges);
+    Reverse reverse(graph.node_count());
+    for (const auto& [next, node] : edges) reverse[next].push_back(node);
     return reverse;
-  }
-
-  /// Candidate-graph reverse edges out of one node, appended to `overlay`.
-  void candidate_edges_from(size_t i, net::Ipv4Address representative,
-                            std::vector<std::vector<uint32_t>>& overlay) const {
-    const aft::Ipv4Entry* entry = candidate_.lookup(nodes_[i], representative);
-    if (entry == nullptr) return;
-    for (const aft::NextHop& hop : candidate_.next_hops(nodes_[i], *entry)) {
-      if (hop.drop) continue;
-      add_reverse_edge(candidate_, overlay,
-                       hop.ip_address ? *hop.ip_address : representative, i);
-    }
   }
 
   /// Label-forwarding reverse edges (identical on both snapshots; built
   /// from the base graph).
-  std::vector<std::vector<uint32_t>> label_edges() const {
-    std::vector<std::vector<uint32_t>> reverse(nodes_.size());
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      auto device = base_graph_.snapshot().devices.find(nodes_[i]);
-      if (device == base_graph_.snapshot().devices.end()) continue;
-      for (const auto& [label, entry] : device->second.aft.label_entries()) {
+  Reverse label_edges() const {
+    Reverse reverse(base_graph_.node_count());
+    for (NodeId node = 0; node < base_graph_.node_count(); ++node) {
+      for (const auto& [label, hops] : base_graph_.labels(node)) {
         // The tracer only follows the first resolved hop; taking them all
         // keeps the edge set a sound over-approximation.
-        for (const aft::NextHop& hop : base_graph_.label_next_hops(nodes_[i], entry)) {
-          if (hop.drop || !hop.ip_address) continue;
-          add_reverse_edge(base_graph_, reverse, *hop.ip_address, i);
-        }
+        for (const ForwardingGraph::Hop& hop : hops)
+          if (!hop.drop && hop.next != ForwardingGraph::kNoNode)
+            reverse[hop.next].push_back(node);
       }
     }
     return reverse;
@@ -279,21 +251,9 @@ class SpliceCloser {
   const IncrementalBase& base_;
   const ForwardingGraph& base_graph_;
   const ForwardingGraph& candidate_;
-  std::vector<net::NodeName> nodes_;
-  std::map<net::NodeName, size_t> index_;
-  std::vector<std::vector<uint32_t>> local_label_;
+  SpliceAdjacency& memo_;
+  std::vector<std::pair<NodeId, const std::vector<std::pair<uint32_t, uint32_t>>*>> dirty_;
 };
-
-/// Seed set for one column: nodes whose own deltas touch `representative`.
-std::vector<size_t> dirty_seeds(const FibDelta& delta, const SpliceCloser& closer,
-                                net::Ipv4Address representative) {
-  std::vector<size_t> seeds;
-  for (const auto& [node, ranges] : delta.node_dirty_ranges) {
-    if (!delta.node_dirty(node, representative, representative)) continue;
-    if (std::optional<size_t> index = closer.index_of(node)) seeds.push_back(*index);
-  }
-  return seeds;
-}
 
 }  // namespace
 
@@ -343,7 +303,6 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   std::vector<ColumnMode> mode(class_count, ColumnMode::kSplice);
   std::vector<size_t> base_column(class_count, 0);
   std::vector<size_t> dirty_index;
-  std::vector<PacketClass> dirty_classes;
   for (size_t c = 0; c < class_count; ++c) {
     std::optional<size_t> column =
         containing_base_class(base, classes[c].first, classes[c].last);
@@ -353,7 +312,6 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
       mode[c] = column ? ColumnMode::kCell : ColumnMode::kRetrace;
       if (column) base_column[c] = *column;
       dirty_index.push_back(c);
-      dirty_classes.push_back(classes[c]);
       continue;
     }
     // The containment lemma says a clean candidate class lies inside one
@@ -364,12 +322,9 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   stats.dirty_classes = dirty_index.size();
 
   // Per dirty cell column: the closure sources whose cells must re-trace.
-  SpliceCloser closer(base, graph);
-  const size_t node_count = closer.nodes().size();
-  std::vector<size_t> source_node(source_count, SIZE_MAX);
-  for (size_t s = 0; s < source_count; ++s)
-    if (std::optional<size_t> index = closer.index_of(sources[s]))
-      source_node[s] = *index;
+  SpliceCloser closer(base, graph, p.delta);
+  const size_t node_count = graph.node_count();
+  std::vector<ForwardingGraph::NodeId> source_node = sweep::node_ids(graph, sources);
 
   unsigned threads = sweep::resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
@@ -377,12 +332,11 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t c = dirty_index[i];
     if (mode[c] != ColumnMode::kCell) return;
-    net::Ipv4Address representative = classes[c].representative();
-    std::vector<uint8_t> in_closure = closer.closure(
-        representative, base_column[c], dirty_seeds(p.delta, closer, representative));
+    std::vector<uint8_t> in_closure =
+        closer.closure(classes[c].representative(), base_column[c]);
     retrace[i].assign(source_count, 0);
     for (size_t s = 0; s < source_count; ++s)
-      if (source_node[s] != SIZE_MAX && in_closure[source_node[s]])
+      if (source_node[s] != ForwardingGraph::kNoNode && in_closure[source_node[s]])
         retrace[i][s] = 1;
     closures[i] = std::move(in_closure);
   });
@@ -418,7 +372,6 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
   // Re-trace closure cells with the same memoized engine as the cold
   // sweep — partial class solves for cell columns, full tables for
   // whole-column re-traces — and splice everything else.
-  if (options.prime_lpm && !dirty_classes.empty()) graph.prime_class_lpm(dirty_classes);
   std::vector<DispositionSet> matrix(source_count * class_count);
   sweep::CacheRef cache(options.cache, graph, options.metrics);
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
@@ -427,14 +380,14 @@ ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
     if (mode[c] != ColumnMode::kCell) {
       (*cache).warm(representative);
       for (size_t s = 0; s < source_count; ++s)
-        matrix[s * class_count + c] = (*cache).dispositions(sources[s], representative);
+        matrix[s * class_count + c] = (*cache).dispositions(source_node[s], representative);
       return;
     }
-    std::vector<net::NodeName> retrace_sources;
+    std::vector<ForwardingGraph::NodeId> retrace_sources;
     std::vector<size_t> retrace_rows;
     for (size_t s = 0; s < source_count; ++s) {
       if (retrace[i][s] == 0) continue;
-      retrace_sources.push_back(sources[s]);
+      retrace_sources.push_back(source_node[s]);
       retrace_rows.push_back(s);
     }
     if (retrace_sources.empty()) return;
@@ -476,7 +429,7 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   if (!p.fallback.empty()) return fall_back(p.fallback);
   const IncrementalBase& base = *p.base;
 
-  std::vector<net::NodeName> nodes = graph.nodes();
+  const std::vector<net::NodeName>& nodes = graph.nodes();
   const size_t node_count = nodes.size();
   stats.classes = node_count;
 
@@ -514,26 +467,14 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   }
   stats.dirty_classes = dirty_index.size();
 
-  SpliceCloser closer(base, graph);
-  std::vector<size_t> source_node(node_count, SIZE_MAX);
-  for (size_t s = 0; s < node_count; ++s)
-    if (std::optional<size_t> index = closer.index_of(nodes[s]))
-      source_node[s] = *index;
-
+  // Sources are the graph's own nodes (row s is node id s), so a cell
+  // column's closure is its re-trace row set.
+  SpliceCloser closer(base, graph, p.delta);
   unsigned threads = sweep::resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
-  std::vector<std::vector<uint8_t>> closures(dirty_index.size());
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t d = dirty_index[i];
-    if (mode[d] != ColumnMode::kCell) return;
-    net::Ipv4Address loopback = *loopbacks[d];
-    std::vector<uint8_t> in_closure = closer.closure(
-        loopback, base_column[d], dirty_seeds(p.delta, closer, loopback));
-    retrace[i].assign(node_count, 0);
-    for (size_t s = 0; s < node_count; ++s)
-      if (source_node[s] != SIZE_MAX && in_closure[source_node[s]])
-        retrace[i][s] = 1;
-    closures[i] = std::move(in_closure);
+    if (mode[d] == ColumnMode::kCell) retrace[i] = closer.closure(*loopbacks[d], base_column[d]);
   });
 
   size_t retrace_cells = 0;
@@ -556,10 +497,10 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
           options.incremental_max_dirty_fraction * static_cast<double>(total_cells))
     return fall_back("dirty-fraction");
   if (any_full) {
-    stats.dirty_nodes = closer.nodes().size();
+    stats.dirty_nodes = node_count;
   } else {
-    std::vector<uint8_t> dirty_union(closer.nodes().size(), 0);
-    for (const std::vector<uint8_t>& in_closure : closures)
+    std::vector<uint8_t> dirty_union(node_count, 0);
+    for (const std::vector<uint8_t>& in_closure : retrace)
       for (size_t n = 0; n < in_closure.size(); ++n)
         dirty_union[n] |= in_closure[n];
     for (uint8_t bit : dirty_union) stats.dirty_nodes += bit;
@@ -571,19 +512,18 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
     size_t d = dirty_index[i];
     net::Ipv4Address loopback = *loopbacks[d];
     if (mode[d] != ColumnMode::kCell) {
-      for (size_t s = 0; s < node_count; ++s) {
+      for (ForwardingGraph::NodeId s = 0; s < node_count; ++s) {
         if (s == d) continue;
-        bool ok =
-            (*cache).dispositions(nodes[s], loopback).contains(Disposition::kAccepted);
+        bool ok = (*cache).dispositions(s, loopback).contains(Disposition::kAccepted);
         reachable[s * node_count + d] = ok ? 1 : 0;
       }
       return;
     }
-    std::vector<net::NodeName> retrace_sources;
+    std::vector<ForwardingGraph::NodeId> retrace_sources;
     std::vector<size_t> retrace_rows;
-    for (size_t s = 0; s < node_count; ++s) {
+    for (ForwardingGraph::NodeId s = 0; s < node_count; ++s) {
       if (s == d || retrace[i][s] == 0) continue;
-      retrace_sources.push_back(nodes[s]);
+      retrace_sources.push_back(s);
       retrace_rows.push_back(s);
     }
     if (retrace_sources.empty()) return;

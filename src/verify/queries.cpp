@@ -60,11 +60,9 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
 
   // One shard per class resolves the class on both sides; only differing
   // cells become rows, source-major.
-  if (options.prime_lpm) {
-    base.prime_class_lpm(classes);
-    candidate.prime_class_lpm(classes);
-  }
   const size_t class_count = classes.size();
+  std::vector<ForwardingGraph::NodeId> base_ids = sweep::node_ids(base, sources);
+  std::vector<ForwardingGraph::NodeId> candidate_ids = sweep::node_ids(candidate, sources);
   sweep::CacheRef base_cache(options.cache, base, options.metrics);
   sweep::CacheRef candidate_cache(options.candidate_cache, candidate, options.metrics);
   obs::Histogram* shard_latency = sweep::shard_latency_histogram(options);
@@ -77,8 +75,9 @@ DifferentialResult differential_reachability(const ForwardingGraph& base,
       (*candidate_cache).warm(representative);
       for (size_t s = 0; s < sources.size(); ++s) {
         size_t cell = s * class_count + c;
-        base_matrix[cell] = (*base_cache).dispositions(sources[s], representative);
-        candidate_matrix[cell] = (*candidate_cache).dispositions(sources[s], representative);
+        base_matrix[cell] = (*base_cache).dispositions(base_ids[s], representative);
+        candidate_matrix[cell] =
+            (*candidate_cache).dispositions(candidate_ids[s], representative);
       }
     });
   });
@@ -104,15 +103,16 @@ std::string RouteRow::to_string() const {
 
 std::vector<RouteRow> routes(const ForwardingGraph& graph, const net::NodeName& node) {
   std::vector<RouteRow> rows;
-  for (const auto& [name, device] : graph.snapshot().devices) {
-    if (!node.empty() && name != node) continue;
-    for (const auto& [prefix, entry] : device.aft.ipv4_entries()) {
+  for (ForwardingGraph::NodeId id = 0; id < graph.node_count(); ++id) {
+    if (!node.empty() && graph.name(id) != node) continue;
+    for (const ForwardingGraph::Route& route : graph.routes(id)) {
       RouteRow row;
-      row.node = name;
-      row.prefix = prefix;
-      row.protocol = entry.origin_protocol;
-      row.metric = entry.metric;
-      for (const aft::NextHop& hop : graph.next_hops(name, entry)) {
+      row.node = graph.name(id);
+      row.prefix = route.entry->prefix;
+      row.protocol = route.entry->origin_protocol;
+      row.metric = route.entry->metric;
+      for (const ForwardingGraph::Hop& compiled : route.hops) {
+        const aft::NextHop& hop = *compiled.source;
         if (hop.drop) {
           row.next_hops.push_back("drop");
           continue;
@@ -158,7 +158,7 @@ std::optional<net::Ipv4Address> device_loopback(const gnmi::Snapshot& snapshot,
 PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options) {
   if (options.incremental != nullptr) return incremental_pairwise(graph, options);
-  std::vector<net::NodeName> nodes = graph.nodes();
+  const std::vector<net::NodeName>& nodes = graph.nodes();
 
   // Shard by destination device: its loopback's trace table is computed
   // once (memoized) and shared by all sources.
@@ -173,10 +173,9 @@ PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
   util::parallel_for_shards(sweep::resolve_threads(options), node_count, [&](size_t d) {
     if (!loopbacks[d]) return;
     sweep::timed_shard(shard_latency, [&] {
-      for (size_t s = 0; s < node_count; ++s) {
+      for (ForwardingGraph::NodeId s = 0; s < node_count; ++s) {
         if (s == d) continue;
-        bool ok =
-            (*cache).dispositions(nodes[s], *loopbacks[d]).contains(Disposition::kAccepted);
+        bool ok = (*cache).dispositions(s, *loopbacks[d]).contains(Disposition::kAccepted);
         reachable[s * node_count + d] = ok ? 1 : 0;
       }
     });

@@ -45,11 +45,10 @@ struct QueryOptions {
   TraceCache* cache = nullptr;
   /// Candidate-side cache for differential queries (same contract).
   TraceCache* candidate_cache = nullptr;
-  /// Pre-resolve every (node, class) LPM into a flat index before the
-  /// sweep. A per-query win, but the priming mutates the graph's index and
-  /// is not safe against concurrent lookup() from another query on the
-  /// same graph — the service disables it and relies on the shared
-  /// TraceCache instead, which amortizes the trie walks across requests.
+  /// Ignored. The graph's compiled interval LPM tables made the per-query
+  /// priming this used to request unnecessary; the field stays only
+  /// because the benchmark harness still assigns it (mfvbench/layers.cpp)
+  /// and goes together with that assignment.
   bool prime_lpm = true;
   /// Optional metrics sink. Sharded sweeps record per-shard wall time
   /// into the `verify_shard_latency_us` histogram, and query-local

@@ -28,6 +28,17 @@ inline std::vector<net::NodeName> resolve_sources(const ForwardingGraph& graph,
   return graph.nodes();
 }
 
+/// `names` resolved to `graph`'s node ids, once per query; kNoNode for a
+/// name outside the graph (its cells report NO_ROUTE).
+inline std::vector<ForwardingGraph::NodeId> node_ids(const ForwardingGraph& graph,
+                                                     const std::vector<net::NodeName>& names) {
+  std::vector<ForwardingGraph::NodeId> ids;
+  ids.reserve(names.size());
+  for (const net::NodeName& name : names)
+    ids.push_back(graph.id_of(name).value_or(ForwardingGraph::kNoNode));
+  return ids;
+}
+
 inline std::vector<PacketClass> classes_for(const std::vector<net::Ipv4Prefix>& prefixes,
                                             const QueryOptions& options) {
   if (options.scope) return compute_packet_classes(prefixes, *options.scope);
@@ -89,8 +100,8 @@ inline std::vector<DispositionSet> disposition_matrix(
     const ForwardingGraph& graph, const std::vector<net::NodeName>& sources,
     const std::vector<PacketClass>& classes, const QueryOptions& options,
     obs::Histogram* shard_latency) {
-  if (options.prime_lpm) graph.prime_class_lpm(classes);
   const size_t class_count = classes.size();
+  std::vector<ForwardingGraph::NodeId> source_ids = node_ids(graph, sources);
   std::vector<DispositionSet> matrix(sources.size() * class_count);
   CacheRef cache(options.cache, graph, options.metrics);
   util::parallel_for_shards(resolve_threads(options), class_count, [&](size_t c) {
@@ -98,7 +109,7 @@ inline std::vector<DispositionSet> disposition_matrix(
       net::Ipv4Address representative = classes[c].representative();
       (*cache).warm(representative);
       for (size_t s = 0; s < sources.size(); ++s)
-        matrix[s * class_count + c] = (*cache).dispositions(sources[s], representative);
+        matrix[s * class_count + c] = (*cache).dispositions(source_ids[s], representative);
     });
   });
   return matrix;

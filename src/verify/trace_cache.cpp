@@ -1,6 +1,7 @@
 #include "verify/trace_cache.hpp"
 
-#include <set>
+#include <algorithm>
+#include <iterator>
 
 namespace mfv::verify {
 
@@ -22,21 +23,28 @@ namespace {
 /// ancestors — so one pass over all nodes fully populates the table.
 class ClassSolver {
  public:
+  using NodeId = ForwardingGraph::NodeId;
+
   ClassSolver(const ForwardingGraph& graph, net::Ipv4Address destination,
-              const std::map<net::NodeName, uint32_t>& node_index,
               std::unordered_map<uint64_t, TraceMemoEntry>& memo,
               std::atomic<uint64_t>* reexpansions,
               obs::Counter* reexpansions_counter)
       : graph_(graph),
         destination_(destination),
-        node_index_(node_index),
+        destination_owner_(graph.owner(destination)),
         memo_(memo),
         reexpansions_(reexpansions),
         reexpansions_counter_(reexpansions_counter),
-        node_on_stack_(node_index.size(), 0) {}
+        node_on_stack_(graph.node_count(), 0) {
+    // Attached hops all land on the destination's owner: resolve its
+    // ingress verdict once per class.
+    if (destination_owner_ != ForwardingGraph::kNoNode)
+      destination_ingress_permits_ = ForwardingGraph::permits(
+          graph.ingress_acl(destination_owner_, destination), destination);
+  }
 
   void solve_all() {
-    for (const auto& [node, index] : node_index_) solve_root(node, index);
+    for (NodeId node = 0; node < graph_.node_count(); ++node) solve_root(node);
   }
 
   /// Solves one root (and every continuation it reaches), memoizing into
@@ -45,31 +53,46 @@ class ClassSolver {
   /// so by the time the (empty-stack) root returns, deps is empty and
   /// the result was memoized by visit() itself. A root already memoized
   /// by an earlier partial solve returns from the memo immediately.
-  void solve_root(const net::NodeName& node, uint32_t index) {
-    (void)visit(node, index, std::nullopt);
-  }
+  void solve_root(NodeId node) { (void)visit(node, std::nullopt); }
 
  private:
   struct Outcome {
     DispositionSet set;
-    /// Node indices whose on-stack presence this result depends on;
+    /// Sorted node ids whose on-stack presence this result depends on;
     /// empty = context-free (memoizable).
-    std::set<uint32_t> deps;
-    /// Every node index this subtree traversed. Stored with the memo
-    /// entry: the result is reusable only by callers whose path avoids
-    /// all of them (node-based loop semantics).
-    std::set<uint32_t> footprint;
+    std::vector<uint32_t> deps;
+    /// Sorted ids of every node this subtree traversed. Stored with the
+    /// memo entry: the result is reusable only by callers whose path
+    /// avoids all of them (node-based loop semantics).
+    std::vector<uint32_t> footprint;
   };
 
-  static uint64_t state_key(uint32_t node_index, std::optional<uint32_t> label) {
+  static uint64_t state_key(NodeId node, std::optional<uint32_t> label) {
     // label+1 so "no label" (0) never collides with label 0.
     uint64_t label_part = label ? static_cast<uint64_t>(*label) + 1 : 0;
-    return (static_cast<uint64_t>(node_index) << 33) | label_part;
+    return (static_cast<uint64_t>(node) << 33) | label_part;
   }
 
-  Outcome visit(const net::NodeName& node, uint32_t index,
-                std::optional<uint32_t> label) {
-    uint64_t key = state_key(index, label);
+  static void insert_sorted(std::vector<uint32_t>& ids, uint32_t id) {
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it == ids.end() || *it != id) ids.insert(it, id);
+  }
+
+  /// into := into ∪ from (both sorted).
+  void unite(std::vector<uint32_t>& into, const std::vector<uint32_t>& from) {
+    if (from.empty()) return;
+    if (into.empty()) {
+      into = from;
+      return;
+    }
+    scratch_.clear();
+    std::set_union(into.begin(), into.end(), from.begin(), from.end(),
+                   std::back_inserter(scratch_));
+    into.swap(scratch_);
+  }
+
+  Outcome visit(NodeId node, std::optional<uint32_t> label) {
+    uint64_t key = state_key(node, label);
     // The on-stack check must come BEFORE the memo lookup. A memoized
     // entry for (node, label') is context-free only in contexts where the
     // node is not already on the path: the per-flow walker's visited set is
@@ -80,7 +103,7 @@ class ClassSolver {
     // owed to the on-stack node and silently diverged from the serial
     // walker on cycles spanning multiple label states (found by the
     // serial-vs-threaded fuzz oracle; regression in tests/fuzz_corpus/).
-    if (node_on_stack_[index] > 0) {
+    if (node_on_stack_[node] > 0) {
       // Device already on the current path (under any label state): the
       // per-flow walker's node-based visited set calls this a loop. The
       // verdict holds only for paths running through that on-stack
@@ -89,8 +112,8 @@ class ClassSolver {
       // cannot see, and must not be memoized here.
       Outcome loop;
       loop.set.add(Disposition::kLoop);
-      loop.deps.insert(index);
-      loop.footprint.insert(index);
+      loop.deps.push_back(node);
+      loop.footprint.push_back(node);
       return loop;
     }
     if (auto it = memo_.find(key); it != memo_.end()) {
@@ -118,85 +141,77 @@ class ClassSolver {
       if (reusable) {
         Outcome hit;
         hit.set = it->second.set;
-        hit.footprint.insert(it->second.footprint.begin(),
-                             it->second.footprint.end());
+        hit.footprint = it->second.footprint;
         return hit;
       }
     }
 
-    ++node_on_stack_[index];
+    ++node_on_stack_[node];
     Outcome outcome = expand(node, label);
-    --node_on_stack_[index];
+    --node_on_stack_[node];
 
-    outcome.footprint.insert(index);
-    outcome.deps.erase(index);  // this frame satisfies its own-node deps
-    if (outcome.deps.empty())
-      memo_[key] = {outcome.set, {outcome.footprint.begin(), outcome.footprint.end()}};
+    insert_sorted(outcome.footprint, node);
+    // This frame satisfies its own-node deps.
+    auto own = std::lower_bound(outcome.deps.begin(), outcome.deps.end(), node);
+    if (own != outcome.deps.end() && *own == node) outcome.deps.erase(own);
+    if (outcome.deps.empty()) memo_[key] = {outcome.set, outcome.footprint};
     return outcome;
   }
 
   /// One step of the per-flow walker, disposition-only: label forwarding
   /// until pop, then IP forwarding. Mirrors Tracer::walk in trace.cpp.
-  Outcome expand(const net::NodeName& node, std::optional<uint32_t> label) {
+  Outcome expand(NodeId node, std::optional<uint32_t> label) {
     Outcome out;
     if (label) {
-      const aft::LabelEntry* label_entry = graph_.lookup_label(node, *label);
-      if (label_entry == nullptr) return terminal(Disposition::kNoRoute);
-      std::vector<aft::NextHop> label_hops = graph_.label_next_hops(node, *label_entry);
+      std::span<const ForwardingGraph::Hop> label_hops = graph_.label_hops(node, *label);
       if (label_hops.empty()) return terminal(Disposition::kNoRoute);
-      const aft::NextHop& action = label_hops.front();  // LSPs do not ECMP
+      const ForwardingGraph::Hop& action = label_hops.front();  // LSPs do not ECMP
       if (action.label_op != aft::LabelOp::kPop) {
         // Swap and move downstream.
-        if (!action.ip_address) return terminal(Disposition::kNeighborUnreachable);
-        auto owner = graph_.address_owner(*action.ip_address);
-        if (!owner) return terminal(Disposition::kNeighborUnreachable);
-        follow(out, *owner, action.label);
+        if (action.next == ForwardingGraph::kNoNode)
+          return terminal(Disposition::kNeighborUnreachable);
+        follow(out, action.next, action.label);
         return out;
       }
       // Pop: resume IP forwarding on this node, same frame (the walker
       // does not re-check its visited set here).
     }
 
-    if (graph_.owns(node, destination_)) return terminal(Disposition::kAccepted);
+    if (node == destination_owner_) return terminal(Disposition::kAccepted);
 
-    const aft::Ipv4Entry* entry = graph_.lookup(node, destination_);
-    if (entry == nullptr) return terminal(Disposition::kNoRoute);
-    std::vector<aft::NextHop> next_hops = graph_.next_hops(node, *entry);
-    if (next_hops.empty()) return terminal(Disposition::kNoRoute);
+    const ForwardingGraph::Route* route = graph_.route(node, destination_);
+    if (route == nullptr || route->hops.empty()) return terminal(Disposition::kNoRoute);
 
-    for (const aft::NextHop& next_hop : next_hops) {
-      if (next_hop.drop) {
+    for (const ForwardingGraph::Hop& hop : route->hops) {
+      if (hop.drop) {
         out.set.add(Disposition::kNullRouted);
         continue;
       }
-      if (next_hop.interface &&
-          !graph_.egress_permits(node, *next_hop.interface, destination_)) {
+      if (!ForwardingGraph::permits(hop.egress_acl, destination_)) {
         out.set.add(Disposition::kDeniedOut);
         continue;
       }
-      if (next_hop.ip_address) {
-        auto owner = graph_.address_owner(*next_hop.ip_address);
-        if (!owner) {
+      if (hop.addressed) {
+        if (hop.next == ForwardingGraph::kNoNode) {
           out.set.add(Disposition::kNeighborUnreachable);
           continue;
         }
-        if (!graph_.ingress_permits(*owner, *next_hop.ip_address, destination_)) {
+        if (!ForwardingGraph::permits(hop.ingress_acl, destination_)) {
           out.set.add(Disposition::kDeniedIn);
           continue;
         }
         std::optional<uint32_t> pushed;
-        if (next_hop.label_op == aft::LabelOp::kPush) pushed = next_hop.label;
-        follow(out, *owner, pushed);
+        if (hop.label_op == aft::LabelOp::kPush) pushed = hop.label;
+        follow(out, hop.next, pushed);
         continue;
       }
       // Attached: forwarding onto a connected subnet.
-      auto owner = graph_.address_owner(destination_);
-      if (owner) {
-        if (!graph_.ingress_permits(*owner, destination_, destination_)) {
+      if (destination_owner_ != ForwardingGraph::kNoNode) {
+        if (!destination_ingress_permits_) {
           out.set.add(Disposition::kDeniedIn);
           continue;
         }
-        follow(out, *owner, std::nullopt);
+        follow(out, destination_owner_, std::nullopt);
       } else if (graph_.on_connected_subnet(node, destination_)) {
         out.set.add(Disposition::kDeliveredToSubnet);
       } else {
@@ -206,18 +221,11 @@ class ClassSolver {
     return out;
   }
 
-  void follow(Outcome& out, const net::NodeName& node, std::optional<uint32_t> label) {
-    auto it = node_index_.find(node);
-    if (it == node_index_.end()) {
-      // Downstream device absent from the graph (cannot happen for
-      // address owners, which are graph nodes by construction).
-      out.set.add(Disposition::kNoRoute);
-      return;
-    }
-    Outcome child = visit(node, it->second, label);
+  void follow(Outcome& out, NodeId node, std::optional<uint32_t> label) {
+    Outcome child = visit(node, label);
     out.set.merge(child.set);
-    out.deps.insert(child.deps.begin(), child.deps.end());
-    out.footprint.insert(child.footprint.begin(), child.footprint.end());
+    unite(out.deps, child.deps);
+    unite(out.footprint, child.footprint);
   }
 
   static Outcome terminal(Disposition disposition) {
@@ -228,23 +236,29 @@ class ClassSolver {
 
   const ForwardingGraph& graph_;
   net::Ipv4Address destination_;
-  const std::map<net::NodeName, uint32_t>& node_index_;
+  ForwardingGraph::NodeId destination_owner_;
+  bool destination_ingress_permits_ = true;
   std::unordered_map<uint64_t, TraceMemoEntry>& memo_;
   std::atomic<uint64_t>* reexpansions_;
   obs::Counter* reexpansions_counter_;
   std::vector<uint32_t> node_on_stack_;  // per-node on-chain counts
+  std::vector<uint32_t> scratch_;        // unite() buffer
 };
+
+DispositionSet no_route() {
+  DispositionSet set;
+  set.add(Disposition::kNoRoute);
+  return set;
+}
+
+/// A root's memo key: the node in the unlabelled state.
+uint64_t root_key(ForwardingGraph::NodeId node) { return static_cast<uint64_t>(node) << 33; }
 
 }  // namespace
 
 TraceCache::TraceCache(const ForwardingGraph& graph,
                        obs::MetricsRegistry* metrics)
     : graph_(graph) {
-  uint32_t index = 0;
-  for (const net::NodeName& node : graph.nodes()) {
-    node_index_.emplace(node, index++);
-    node_names_.push_back(node);
-  }
   if (metrics != nullptr) {
     hits_counter_ = &metrics->counter("trace_cache_hits");
     misses_counter_ = &metrics->counter("trace_cache_misses");
@@ -267,8 +281,8 @@ TraceCache::ClassTable& TraceCache::table_for(net::Ipv4Address destination) {
     if (!table.fully_solved) {
       // Roots memoized by earlier partial solves (dispositions_for) are
       // served from the memo; only the remainder runs.
-      ClassSolver solver(graph_, destination, node_index_, table.memo,
-                         &reexpansions_, reexpansions_counter_);
+      ClassSolver solver(graph_, destination, table.memo, &reexpansions_,
+                         reexpansions_counter_);
       solver.solve_all();
       table.fully_solved = true;
       solved_here = true;
@@ -287,18 +301,16 @@ TraceCache::ClassTable& TraceCache::table_for(net::Ipv4Address destination) {
 void TraceCache::warm(net::Ipv4Address destination) { table_for(destination); }
 
 std::vector<DispositionSet> TraceCache::dispositions_for(
-    const std::vector<net::NodeName>& sources, net::Ipv4Address destination) {
+    const std::vector<ForwardingGraph::NodeId>& sources, net::Ipv4Address destination) {
   ClassTable& table = slot_for(destination);
   std::vector<DispositionSet> out;
   out.reserve(sources.size());
   std::lock_guard<std::mutex> lock(table.mutex);
   if (!table.fully_solved) {
-    ClassSolver solver(graph_, destination, node_index_, table.memo,
-                       &reexpansions_, reexpansions_counter_);
-    for (const net::NodeName& source : sources) {
-      auto it = node_index_.find(source);
-      if (it != node_index_.end()) solver.solve_root(source, it->second);
-    }
+    ClassSolver solver(graph_, destination, table.memo, &reexpansions_,
+                       reexpansions_counter_);
+    for (ForwardingGraph::NodeId source : sources)
+      if (source != ForwardingGraph::kNoNode) solver.solve_root(source);
     // Deliberately not fully_solved: only the requested roots (and their
     // downstream continuations) are in the memo. A partial solve counts
     // as a miss — it ran the solver — even though warm() may run it
@@ -309,35 +321,30 @@ std::vector<DispositionSet> TraceCache::dispositions_for(
     hits_.fetch_add(1, std::memory_order_relaxed);
     if (hits_counter_ != nullptr) hits_counter_->add(1);
   }
-  for (const net::NodeName& source : sources) {
-    auto it = node_index_.find(source);
-    if (it == node_index_.end()) {
-      DispositionSet no_route;
-      no_route.add(Disposition::kNoRoute);
-      out.push_back(no_route);
+  for (ForwardingGraph::NodeId source : sources) {
+    if (source == ForwardingGraph::kNoNode) {
+      out.push_back(no_route());
       continue;
     }
-    uint64_t key = static_cast<uint64_t>(it->second) << 33;
-    auto memo_it = table.memo.find(key);
+    auto memo_it = table.memo.find(root_key(source));
     out.push_back(memo_it != table.memo.end() ? memo_it->second.set : DispositionSet());
   }
   return out;
 }
 
-DispositionSet TraceCache::dispositions(const net::NodeName& source,
+DispositionSet TraceCache::dispositions(ForwardingGraph::NodeId source,
                                         net::Ipv4Address destination) {
-  auto index_it = node_index_.find(source);
-  if (index_it == node_index_.end()) {
-    DispositionSet no_route;
-    no_route.add(Disposition::kNoRoute);
-    return no_route;
-  }
+  if (source == ForwardingGraph::kNoNode) return no_route();
   ClassTable& table = table_for(destination);
-  uint64_t key = static_cast<uint64_t>(index_it->second) << 33;
-  auto it = table.memo.find(key);
+  auto it = table.memo.find(root_key(source));
   if (it != table.memo.end()) return it->second.set;
   // Unreachable: solve_all memoizes every root (see ClassSolver).
   return {};
+}
+
+DispositionSet TraceCache::dispositions(const net::NodeName& source,
+                                        net::Ipv4Address destination) {
+  return dispositions(graph_.id_of(source).value_or(ForwardingGraph::kNoNode), destination);
 }
 
 size_t TraceCache::classes_cached() const {

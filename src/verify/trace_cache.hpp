@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -43,7 +42,7 @@ namespace mfv::verify {
 /// detail, shared with the per-class solver).
 struct TraceMemoEntry {
   DispositionSet set;
-  /// Node indices the state's subtree traverses. Loop detection is
+  /// Node ids the state's subtree traverses, sorted. Loop detection is
   /// node-based, so a memoized result is valid for a caller only when
   /// none of these nodes are already on the caller's path — otherwise
   /// the per-flow walker would have declared a loop at that node and the
@@ -63,9 +62,11 @@ class TraceCache {
   /// Disposition set of the flow injected at `source` destined to
   /// `destination` (any address of a packet class, typically its
   /// representative). Computes the per-node table for that destination on
-  /// first use. An unknown source reports NO_ROUTE, like trace_flow.
-  DispositionSet dispositions(const net::NodeName& source,
+  /// first use. An unknown source (kNoNode, or a name outside the graph)
+  /// reports NO_ROUTE, like trace_flow.
+  DispositionSet dispositions(ForwardingGraph::NodeId source,
                               net::Ipv4Address destination);
+  DispositionSet dispositions(const net::NodeName& source, net::Ipv4Address destination);
 
   /// Precomputes the table for `destination`'s class (idempotent).
   void warm(net::Ipv4Address destination);
@@ -76,10 +77,10 @@ class TraceCache {
   /// dirty column needs a handful of re-traced cells — paying solve_all's
   /// O(nodes) there would erase the splice win. Memoized entries land in
   /// the same class table, so a later warm()/dispositions() completes the
-  /// remaining roots without repeating work. Unknown sources report
-  /// NO_ROUTE, like dispositions().
+  /// remaining roots without repeating work. Unknown sources (kNoNode)
+  /// report NO_ROUTE, like dispositions().
   std::vector<DispositionSet> dispositions_for(
-      const std::vector<net::NodeName>& sources, net::Ipv4Address destination);
+      const std::vector<ForwardingGraph::NodeId>& sources, net::Ipv4Address destination);
 
   /// Number of distinct destination classes resolved so far.
   size_t classes_cached() const;
@@ -116,9 +117,6 @@ class TraceCache {
   ClassTable& table_for(net::Ipv4Address destination);
 
   const ForwardingGraph& graph_;
-  /// Stable node -> dense index mapping (for state keys).
-  std::map<net::NodeName, uint32_t> node_index_;
-  std::vector<net::NodeName> node_names_;
 
   mutable std::mutex mutex_;
   std::unordered_map<uint32_t, std::unique_ptr<ClassTable>> tables_;

@@ -1,7 +1,5 @@
 #include "verify/utilization.hpp"
 
-#include <set>
-
 #include "verify/queries.hpp"
 
 namespace mfv::verify {
@@ -10,66 +8,71 @@ namespace {
 
 class FlowRouter {
  public:
+  using NodeId = ForwardingGraph::NodeId;
+  using Visited = std::vector<uint8_t>;  // per node id
+
   FlowRouter(const ForwardingGraph& graph, UtilizationResult& result)
       : graph_(graph), result_(result) {}
 
-  void route(const net::NodeName& node, net::Ipv4Address destination, double bps,
-             std::set<net::NodeName> visited) {
+  void route(const Demand& demand) {
+    if (demand.bps <= 0) return;
+    std::optional<NodeId> source = graph_.id_of(demand.source);
+    if (!source) {
+      result_.unrouted_bps += demand.bps;  // no such device: no route
+      return;
+    }
+    route(*source, demand.destination, graph_.owner(demand.destination), demand.bps,
+          Visited(graph_.node_count(), 0));
+  }
+
+ private:
+  void route(NodeId node, net::Ipv4Address destination, NodeId destination_owner,
+             double bps, Visited visited) {
     if (bps <= 0) return;
-    if (visited.count(node)) {
+    if (visited[node]) {
       result_.unrouted_bps += bps;  // loop: traffic circulates, count as lost
       return;
     }
-    visited.insert(node);
+    visited[node] = 1;
 
-    if (graph_.owns(node, destination)) {
+    if (node == destination_owner) {
       result_.delivered_bps += bps;
       return;
     }
-    const aft::Ipv4Entry* entry = graph_.lookup(node, destination);
-    if (entry == nullptr) {
+    const ForwardingGraph::Route* match = graph_.route(node, destination);
+    if (match == nullptr || match->hops.empty()) {
       result_.unrouted_bps += bps;
       return;
     }
-    std::vector<aft::NextHop> hops = graph_.next_hops(node, *entry);
-    if (hops.empty()) {
-      result_.unrouted_bps += bps;
-      return;
-    }
-    double share = bps / static_cast<double>(hops.size());  // equal ECMP split
-    for (const aft::NextHop& hop : hops) {
+    double share = bps / static_cast<double>(match->hops.size());  // equal ECMP split
+    for (const ForwardingGraph::Hop& hop : match->hops) {
       if (hop.drop) {
         result_.unrouted_bps += share;
         continue;
       }
-      if (hop.interface) {
-        if (!graph_.egress_permits(node, *hop.interface, destination)) {
+      if (hop.source->interface) {
+        if (!ForwardingGraph::permits(hop.egress_acl, destination)) {
           result_.unrouted_bps += share;
           continue;
         }
-        result_.load_bps[{node, *hop.interface}] += share;
+        result_.load_bps[{graph_.name(node), *hop.source->interface}] += share;
       }
-      if (hop.ip_address) {
-        auto owner = graph_.address_owner(*hop.ip_address);
-        if (!owner) {
+      if (hop.addressed) {
+        if (hop.next == ForwardingGraph::kNoNode ||
+            !ForwardingGraph::permits(hop.ingress_acl, destination)) {
           result_.unrouted_bps += share;
           continue;
         }
-        if (!graph_.ingress_permits(*owner, *hop.ip_address, destination)) {
-          result_.unrouted_bps += share;
-          continue;
-        }
-        route(*owner, destination, share, visited);
-      } else {
+        route(hop.next, destination, destination_owner, share, visited);
+      } else if (destination_owner != ForwardingGraph::kNoNode) {
         // Attached delivery.
-        auto owner = graph_.address_owner(destination);
-        if (owner) route(*owner, destination, share, visited);
-        else result_.delivered_bps += share;  // leaves the modeled network
+        route(destination_owner, destination, destination_owner, share, visited);
+      } else {
+        result_.delivered_bps += share;  // leaves the modeled network
       }
     }
   }
 
- private:
   const ForwardingGraph& graph_;
   UtilizationResult& result_;
 };
@@ -80,8 +83,7 @@ UtilizationResult link_utilization(const ForwardingGraph& graph,
                                    const std::vector<Demand>& demands) {
   UtilizationResult result;
   FlowRouter router(graph, result);
-  for (const Demand& demand : demands)
-    router.route(demand.source, demand.destination, demand.bps, {});
+  for (const Demand& demand : demands) router.route(demand);
   return result;
 }
 

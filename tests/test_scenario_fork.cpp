@@ -303,6 +303,54 @@ TEST(ScenarioFork, RunnerThreadedMatchesSerial) {
   }
 }
 
+/// Base-reachable cells a fork breaks, counted pair by pair.
+size_t brute_force_broken_pairs(const verify::PairwiseResult& base,
+                                const verify::PairwiseResult& fork) {
+  size_t broken = 0;
+  for (const verify::PairwiseCell& cell : fork.cells) {
+    if (cell.reachable) continue;
+    for (const verify::PairwiseCell& before : base.cells)
+      if (before.reachable && before.source == cell.source &&
+          before.destination == cell.destination)
+        ++broken;
+  }
+  return broken;
+}
+
+TEST(ScenarioFork, BrokenPairsMatchBruteForceCount) {
+  workload::WanOptions ring;
+  ring.routers = 6;
+  ring.seed = 11;
+  ring.extra_chords = 0;
+  // Every cut of the line and every double cut of the plain ring
+  // partitions the network.
+  struct Sweep {
+    emu::Topology topology;
+    size_t k;
+  };
+  for (const Sweep& sweep : {Sweep{small_wan(/*line=*/true), 1},
+                             Sweep{workload::wan_topology(ring), 2}}) {
+    emu::Emulation base;
+    ASSERT_TRUE(base.add_topology(sweep.topology).ok());
+    base.start_all();
+    ASSERT_TRUE(base.run_to_convergence());
+
+    scenario::ScenarioRunnerOptions options;
+    options.incremental = true;
+    scenario::ScenarioRunner runner(base, options);
+    ASSERT_TRUE(runner.base_pairwise().full_mesh());
+    auto results = runner.run(scenario::k_link_cuts(sweep.topology, sweep.k));
+    ASSERT_TRUE(results.ok());
+    ASSERT_FALSE(results->empty());
+    for (const scenario::ScenarioResult& result : *results) {
+      EXPECT_GT(result.broken_pairs, 0u) << result.name;
+      EXPECT_EQ(result.broken_pairs,
+                brute_force_broken_pairs(runner.base_pairwise(), result.pairwise))
+          << result.name;
+    }
+  }
+}
+
 TEST(ScenarioFork, RunnerRejectsNonIdleBase) {
   emu::Emulation base;
   ASSERT_TRUE(base.add_topology(small_wan()).ok());

@@ -156,5 +156,45 @@ TEST(VerifyTsan, PairwiseParallelMatchesSerial) {
   }
 }
 
+std::string render(const DifferentialResult& result) {
+  std::string out = std::to_string(result.classes) + "/" + std::to_string(result.flows) + "\n";
+  for (const DifferentialRow& row : result.rows) out += row.to_string() + "\n";
+  return out;
+}
+
+std::string render(const PairwiseResult& result) {
+  std::string out;
+  for (const PairwiseCell& cell : result.cells)
+    out += cell.source + ">" + cell.destination + (cell.reachable ? " 1\n" : " 0\n");
+  return out;
+}
+
+TEST(VerifyTsan, ConcurrentQueriesOnOneSharedGraph) {
+  // No shared TraceCache: every query memoizes into its own query-local
+  // cache, so the compiled graph is the only state the three queries
+  // share, and it is immutable after construction.
+  ForwardingGraph graph(fabric_snapshot(20));
+  ForwardingGraph candidate(fabric_snapshot(16));
+  QueryOptions serial;
+  serial.threads = 1;
+  const std::string expected_reach = render(reachability(graph, serial));
+  const std::string expected_diff = render(differential_reachability(graph, candidate, serial));
+  const std::string expected_pairs = render(pairwise_reachability(graph, serial));
+  EXPECT_NE(expected_diff.find("candidate="), std::string::npos);
+  for (int round = 0; round < 3; ++round) {
+    std::string reach, diff, pairs;
+    QueryOptions options;
+    options.threads = 2;
+    util::parallel_for_shards(3, 3, [&](size_t query) {
+      if (query == 0) reach = render(reachability(graph, options));
+      if (query == 1) diff = render(differential_reachability(graph, candidate, options));
+      if (query == 2) pairs = render(pairwise_reachability(graph, options));
+    });
+    EXPECT_EQ(reach, expected_reach) << round;
+    EXPECT_EQ(diff, expected_diff) << round;
+    EXPECT_EQ(pairs, expected_pairs) << round;
+  }
+}
+
 }  // namespace
 }  // namespace mfv::verify
