@@ -99,12 +99,12 @@ std::string show_isis_database(const vrouter::VirtualRouter& router) {
     return out.str();
   }
   out << "IS-IS Instance: " << router.isis()->instance() << " Level-2 Link State Database\n";
-  for (const auto& [origin, lsp] : router.isis()->database()) {
-    out << "  LSPID " << origin.to_string() << ".00-00  Seq " << lsp.sequence << "\n";
-    for (const auto& neighbor : lsp.neighbors)
+  for (const proto::IsisLspPtr& lsp : router.isis()->database()) {
+    out << "  LSPID " << lsp->origin.to_string() << ".00-00  Seq " << lsp->sequence << "\n";
+    for (const auto& neighbor : lsp->neighbors)
       out << "    IS Neighbor    " << neighbor.system_id.to_string() << "  Metric "
           << neighbor.metric << "\n";
-    for (const auto& prefix : lsp.prefixes)
+    for (const auto& prefix : lsp->prefixes)
       out << "    IP Reachability " << prefix.prefix.to_string() << "  Metric "
           << prefix.metric << "\n";
   }
@@ -135,12 +135,12 @@ std::string show_ospf_database(const vrouter::VirtualRouter& router) {
     return out.str();
   }
   out << "OSPF Router Link States (Area 0)\n";
-  for (const auto& [origin, lsa] : router.ospf()->database()) {
-    out << "  LSA " << origin.to_string() << "  Seq " << lsa.sequence << "\n";
-    for (const auto& neighbor : lsa.neighbors)
+  for (const proto::OspfLsaPtr& lsa : router.ospf()->database()) {
+    out << "  LSA " << lsa->origin.to_string() << "  Seq " << lsa->sequence << "\n";
+    for (const auto& neighbor : lsa->neighbors)
       out << "    Neighbor " << neighbor.router_id.to_string() << "  Metric "
           << neighbor.metric << "\n";
-    for (const auto& prefix : lsa.prefixes)
+    for (const auto& prefix : lsa->prefixes)
       out << "    Prefix " << prefix.prefix.to_string() << "  Metric " << prefix.metric
           << "\n";
   }

@@ -43,6 +43,9 @@ class RouterEnv {
   /// Interfaces in deterministic (name) order.
   virtual std::vector<InterfaceView> interfaces() const = 0;
 
+  /// One interface by name; nullopt if the router has no such interface.
+  virtual std::optional<InterfaceView> interface(const net::InterfaceName& name) const = 0;
+
   /// Sends a link-scoped message out of an interface (IS-IS hellos/LSPs).
   /// Silently dropped if the interface is down or unconnected.
   virtual void send_on_interface(const net::InterfaceName& interface,

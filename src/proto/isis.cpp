@@ -76,16 +76,8 @@ void IsisEngine::shutdown() {
   if (!active_) return;
   IsisLsp purge;
   purge.origin = system_id_;
-  purge.sequence = ++own_sequence_;
-  lsdb_[system_id_] = purge;
-  flood(purge, /*except=*/"");
+  originate(std::move(purge));
   active_ = false;
-}
-
-std::optional<InterfaceView> IsisEngine::find_interface(const net::InterfaceName& name) const {
-  for (const InterfaceView& interface : env_.interfaces())
-    if (interface.name == name) return interface;
-  return std::nullopt;
 }
 
 std::vector<SystemId> IsisEngine::seen_on(const net::InterfaceName& interface) const {
@@ -109,13 +101,13 @@ void IsisEngine::handle(const net::InterfaceName& in_interface, const Message& m
   if (!active_) return;
   if (const auto* hello = std::get_if<IsisHello>(&message)) {
     handle_hello(in_interface, *hello);
-  } else if (const auto* lsp = std::get_if<IsisLsp>(&message)) {
+  } else if (const auto* lsp = std::get_if<IsisLspPtr>(&message)) {
     handle_lsp(in_interface, *lsp);
   }
 }
 
 void IsisEngine::handle_hello(const net::InterfaceName& in_interface, const IsisHello& hello) {
-  auto interface = find_interface(in_interface);
+  auto interface = env_.interface(in_interface);
   if (!interface || !interface->vrf.empty() || !interface->isis_enabled ||
       interface->isis_passive || !interface->up)
     return;
@@ -147,32 +139,32 @@ void IsisEngine::handle_hello(const net::InterfaceName& in_interface, const Isis
     if (now_up) {
       // New adjacency: synchronize the database (push our full LSDB, the
       // event-driven analogue of CSNP/PSNP exchange).
-      for (const auto& [origin, lsp] : lsdb_)
-        env_.send_on_interface(in_interface, Message(lsp));
+      for (const IsisLspPtr& lsp : lsdb_) env_.send_on_interface(in_interface, Message(lsp));
     }
   }
 }
 
-void IsisEngine::handle_lsp(const net::InterfaceName& in_interface, const IsisLsp& lsp) {
-  auto interface = find_interface(in_interface);
+void IsisEngine::handle_lsp(const net::InterfaceName& in_interface, const IsisLspPtr& lsp) {
+  auto interface = env_.interface(in_interface);
   if (!interface || !interface->isis_enabled || interface->isis_passive) return;
 
-  if (lsp.origin == system_id_) {
+  if (lsp->origin == system_id_) {
     // A stale copy of our own LSP circulating with a sequence number at or
     // above ours (e.g. a pre-restart purge): adopt it into the database so
     // regenerate_lsp sees the content difference, then reissue above its
     // sequence number (standard purge-and-reissue).
-    if (lsp.sequence >= own_sequence_ && !lsp.same_content(lsdb_[system_id_])) {
-      own_sequence_ = lsp.sequence;
-      lsdb_[system_id_] = lsp;
+    const IsisLsp* own = lsdb_.find(system_id_);
+    if (lsp->sequence >= own_sequence_ && (own == nullptr || !lsp->same_content(*own))) {
+      own_sequence_ = lsp->sequence;
+      lsdb_.put(lsp);
       regenerate_lsp();
     }
     return;
   }
 
-  auto it = lsdb_.find(lsp.origin);
-  if (it != lsdb_.end() && it->second.sequence >= lsp.sequence) return;  // old news
-  lsdb_[lsp.origin] = lsp;
+  const IsisLsp* stored = lsdb_.find(lsp->origin);
+  if (stored != nullptr && stored->sequence >= lsp->sequence) return;  // old news
+  lsdb_.put(lsp);
   flood(lsp, in_interface);
   schedule_spf();
 }
@@ -193,16 +185,20 @@ void IsisEngine::regenerate_lsp() {
   std::sort(lsp.neighbors.begin(), lsp.neighbors.end());
   std::sort(lsp.prefixes.begin(), lsp.prefixes.end());
 
-  auto it = lsdb_.find(system_id_);
-  if (it != lsdb_.end() && it->second.same_content(lsp)) return;  // no change
-
-  lsp.sequence = ++own_sequence_;
-  lsdb_[system_id_] = lsp;
-  flood(lsp, /*except=*/"");
+  const IsisLsp* own = lsdb_.find(system_id_);
+  if (own != nullptr && own->same_content(lsp)) return;  // no change
+  originate(std::move(lsp));
   schedule_spf();
 }
 
-void IsisEngine::flood(const IsisLsp& lsp, const net::InterfaceName& except) {
+void IsisEngine::originate(IsisLsp lsp) {
+  lsp.sequence = ++own_sequence_;
+  auto shared = std::make_shared<const IsisLsp>(std::move(lsp));
+  lsdb_.put(shared);
+  flood(shared, /*except=*/"");
+}
+
+void IsisEngine::flood(const IsisLspPtr& lsp, const net::InterfaceName& except) {
   for (const auto& [name, adjacency] : adjacencies_) {
     if (adjacency.state != IsisAdjacency::State::kUp) continue;
     if (name == except) continue;
@@ -214,7 +210,7 @@ void IsisEngine::interfaces_changed() {
   if (!active_) return;
   bool dropped = false;
   for (auto it = adjacencies_.begin(); it != adjacencies_.end();) {
-    auto interface = find_interface(it->first);
+    auto interface = env_.interface(it->first);
     bool alive = interface && interface->vrf.empty() && interface->up &&
                  interface->isis_enabled && !interface->isis_passive;
     if (!alive) {
@@ -260,9 +256,9 @@ void IsisEngine::run_spf() {
   std::vector<const IsisLsp*> lsps;
   ids.reserve(node_count);
   lsps.reserve(node_count);
-  for (const auto& [origin, lsp] : lsdb_) {
-    ids.push_back(origin);
-    lsps.push_back(&lsp);
+  for (const IsisLspPtr& lsp : lsdb_) {
+    ids.push_back(lsp->origin);
+    lsps.push_back(lsp.get());
   }
   auto index_of = [&ids](SystemId id) -> uint32_t {
     auto it = std::lower_bound(ids.begin(), ids.end(), id);
@@ -394,8 +390,9 @@ void IsisEngine::run_spf() {
   bool changed = false;
   const SpfTable* previous = spf_table_.get();
   if (previous == nullptr || previous->adjacencies != table->adjacencies) {
-    changed = rib.replace_protocol(rib::Protocol::kIsis, instance_,
-                                   routes_of(*table, 0, table->rows.size()));
+    std::vector<rib::RibRoute> routes;
+    append_routes(*table, 0, table->rows.size(), routes);
+    changed = rib.replace_protocol(rib::Protocol::kIsis, instance_, std::move(routes));
   } else {
     const std::vector<SpfTable::Row>& before = previous->rows;
     const std::vector<SpfTable::Row>& after = table->rows;
@@ -405,6 +402,8 @@ void IsisEngine::run_spf() {
                         previous->masks.begin() + a.hops + hop_words,
                         table->masks.begin() + b.hops);
     };
+    std::vector<net::Ipv4Prefix> prefixes;
+    std::vector<rib::RibRoute> routes;
     size_t i = 0;
     size_t j = 0;
     while (i < before.size() || j < after.size()) {
@@ -416,12 +415,14 @@ void IsisEngine::run_spf() {
       size_t j_end = j;
       while (j_end < after.size() && after[j_end].prefix == prefix) ++j_end;
       if (i_end - i != j_end - j ||
-          !std::equal(before.begin() + i, before.begin() + i_end, after.begin() + j, same_row))
-        changed |= rib.replace_prefix(rib::Protocol::kIsis, instance_, prefix,
-                                      routes_of(*table, j, j_end));
+          !std::equal(before.begin() + i, before.begin() + i_end, after.begin() + j, same_row)) {
+        prefixes.push_back(prefix);
+        append_routes(*table, j, j_end, routes);
+      }
       i = i_end;
       j = j_end;
     }
+    changed = rib.replace_prefixes(rib::Protocol::kIsis, instance_, prefixes, std::move(routes));
   }
   spf_table_ = std::move(table);
   // Notify only when the installed set actually changed: SPF re-runs whose
@@ -430,14 +431,14 @@ void IsisEngine::run_spf() {
   if (changed) env_.notify_rib_changed();
 }
 
-std::vector<rib::RibRoute> IsisEngine::routes_of(const SpfTable& table, size_t begin,
-                                                 size_t end) const {
-  std::vector<rib::RibRoute> routes;
-  std::vector<size_t> bits;  // adjacency bit of each route
-  size_t prefix_start = 0;
+void IsisEngine::append_routes(const SpfTable& table, size_t begin, size_t end,
+                               std::vector<rib::RibRoute>& routes) const {
+  const size_t base = routes.size();
+  std::vector<size_t> bits;  // adjacency bit of each appended route
+  size_t prefix_start = 0;   // into `bits`
   for (size_t r = begin; r < end; ++r) {
     const SpfTable::Row& row = table.rows[r];
-    if (r == begin || row.prefix != table.rows[r - 1].prefix) prefix_start = routes.size();
+    if (r == begin || row.prefix != table.rows[r - 1].prefix) prefix_start = bits.size();
     for (size_t w = 0; w < table.hop_words; ++w) {
       for (uint64_t word = table.masks[row.hops + w]; word != 0; word &= word - 1) {
         const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(word));
@@ -445,7 +446,7 @@ std::vector<rib::RibRoute> IsisEngine::routes_of(const SpfTable& table, size_t b
         // slot: it replaces the earlier route in place.
         auto same = std::find(bits.begin() + static_cast<ptrdiff_t>(prefix_start), bits.end(), i);
         if (same != bits.end()) {
-          routes[static_cast<size_t>(same - bits.begin())].metric = row.metric;
+          routes[base + static_cast<size_t>(same - bits.begin())].metric = row.metric;
           continue;
         }
         rib::RibRoute route;
@@ -461,12 +462,12 @@ std::vector<rib::RibRoute> IsisEngine::routes_of(const SpfTable& table, size_t b
       }
     }
   }
-  return routes;
 }
 
 std::vector<rib::RibRoute> IsisEngine::spf_routes() const {
-  if (spf_table_ == nullptr) return {};
-  return routes_of(*spf_table_, 0, spf_table_->rows.size());
+  std::vector<rib::RibRoute> routes;
+  if (spf_table_ != nullptr) append_routes(*spf_table_, 0, spf_table_->rows.size(), routes);
+  return routes;
 }
 
 }  // namespace mfv::proto

@@ -16,6 +16,7 @@
 
 #include "config/device_config.hpp"
 #include "proto/env.hpp"
+#include "proto/lsdb.hpp"
 #include "proto/messages.hpp"
 
 namespace mfv::proto {
@@ -43,8 +44,8 @@ class IsisEngine {
   /// Begins hello transmission on all eligible interfaces.
   void start();
 
-  /// Deep copy of the full instance state (adjacencies, LSDB, sequence
-  /// numbers) bound to a new env. Only valid while no timer callbacks are
+  /// Copy of the full instance state (adjacencies, LSDB, sequence
+  /// numbers) bound to a new env; the LSDB and SPF table are shared. Only valid while no timer callbacks are
   /// pending, i.e. the owning emulation is quiescent (scenario-engine fork).
   std::unique_ptr<IsisEngine> fork(RouterEnv& env) const;
 
@@ -66,7 +67,7 @@ class IsisEngine {
   const std::map<net::InterfaceName, IsisAdjacency>& adjacencies() const {
     return adjacencies_;
   }
-  const std::map<SystemId, IsisLsp>& database() const { return lsdb_; }
+  const Lsdb<IsisLsp>& database() const { return lsdb_; }
   uint32_t spf_runs() const { return spf_runs_; }
   /// Every route the last SPF run computed: what a replace_protocol
   /// reinstall of that run would install. Empty before the first run.
@@ -77,12 +78,14 @@ class IsisEngine {
 
   void send_hello(const InterfaceView& interface);
   void handle_hello(const net::InterfaceName& in_interface, const IsisHello& hello);
-  void handle_lsp(const net::InterfaceName& in_interface, const IsisLsp& lsp);
+  void handle_lsp(const net::InterfaceName& in_interface, const IsisLspPtr& lsp);
 
   /// Rebuilds our own LSP from current adjacencies + interface prefixes;
   /// floods and schedules SPF if the content changed.
   void regenerate_lsp();
-  void flood(const IsisLsp& lsp, const net::InterfaceName& except);
+  /// Stores `lsp` as our own LSP and floods it everywhere.
+  void originate(IsisLsp lsp);
+  void flood(const IsisLspPtr& lsp, const net::InterfaceName& except);
 
   void schedule_spf();
   void run_spf();
@@ -105,11 +108,11 @@ class IsisEngine {
     std::vector<uint64_t> masks;
     std::vector<Row> rows;
   };
-  /// Expands rows [begin, end) into RIB routes, collapsing same-slot
-  /// duplicates within a prefix the way replace_protocol does.
-  std::vector<rib::RibRoute> routes_of(const SpfTable& table, size_t begin, size_t end) const;
+  /// Appends rows [begin, end) to `routes` as RIB routes, collapsing
+  /// same-slot duplicates within a prefix the way replace_protocol does.
+  void append_routes(const SpfTable& table, size_t begin, size_t end,
+                     std::vector<rib::RibRoute>& routes) const;
 
-  std::optional<InterfaceView> find_interface(const net::InterfaceName& name) const;
   /// Seen-neighbor set for 3-way handshake on one link.
   std::vector<SystemId> seen_on(const net::InterfaceName& interface) const;
 
@@ -120,7 +123,7 @@ class IsisEngine {
   config::IsisLevel level_ = config::IsisLevel::kLevel2;
 
   std::map<net::InterfaceName, IsisAdjacency> adjacencies_;
-  std::map<SystemId, IsisLsp> lsdb_;
+  Lsdb<IsisLsp> lsdb_;
   uint32_t own_sequence_ = 0;
   bool spf_pending_ = false;
   uint32_t spf_runs_ = 0;

@@ -48,9 +48,9 @@ std::optional<SystemId> SystemId::from_net(std::string_view net) {
 std::string message_kind(const Message& message) {
   struct Visitor {
     std::string operator()(const IsisHello&) const { return "isis-hello"; }
-    std::string operator()(const IsisLsp&) const { return "isis-lsp"; }
+    std::string operator()(const IsisLspPtr&) const { return "isis-lsp"; }
     std::string operator()(const OspfHello&) const { return "ospf-hello"; }
-    std::string operator()(const OspfLsa&) const { return "ospf-lsa"; }
+    std::string operator()(const OspfLsaPtr&) const { return "ospf-lsa"; }
     std::string operator()(const BgpOpen&) const { return "bgp-open"; }
     std::string operator()(const BgpUpdate&) const { return "bgp-update"; }
     std::string operator()(const BgpKeepalive&) const { return "bgp-keepalive"; }

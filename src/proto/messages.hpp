@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -53,6 +54,8 @@ struct IsisLspPrefix {
   auto operator<=>(const IsisLspPrefix&) const = default;
 };
 
+/// Immutable once originated: floods and databases share it by pointer
+/// (IsisLspPtr).
 struct IsisLsp {
   SystemId origin;
   uint32_t sequence = 0;
@@ -64,6 +67,7 @@ struct IsisLsp {
            prefixes == other.prefixes;
   }
 };
+using IsisLspPtr = std::shared_ptr<const IsisLsp>;
 
 // ---------------------------------------------------------------------------
 // OSPF (v2 subset: point-to-point hellos + router LSAs)
@@ -86,7 +90,8 @@ struct OspfLsaPrefix {
   auto operator<=>(const OspfLsaPrefix&) const = default;
 };
 
-/// Router LSA: this router's adjacencies and attached prefixes.
+/// Router LSA: this router's adjacencies and attached prefixes. Immutable
+/// once originated, like IsisLsp.
 struct OspfLsa {
   net::RouterId origin;
   uint32_t sequence = 0;
@@ -98,6 +103,7 @@ struct OspfLsa {
            prefixes == other.prefixes;
   }
 };
+using OspfLsaPtr = std::shared_ptr<const OspfLsa>;
 
 // ---------------------------------------------------------------------------
 // BGP
@@ -173,7 +179,7 @@ struct RsvpPathErr {
 
 // ---------------------------------------------------------------------------
 
-using Message = std::variant<IsisHello, IsisLsp, OspfHello, OspfLsa, BgpOpen, BgpUpdate,
+using Message = std::variant<IsisHello, IsisLspPtr, OspfHello, OspfLsaPtr, BgpOpen, BgpUpdate,
                              BgpKeepalive, BgpNotification, RsvpPath, RsvpResv,
                              RsvpPathErr>;
 

@@ -71,17 +71,8 @@ void OspfEngine::shutdown() {
   if (!active_) return;
   OspfLsa purge;
   purge.origin = router_id_;
-  purge.sequence = ++own_sequence_;
-  lsdb_[router_id_] = purge;
-  flood(purge, /*except=*/"");
+  originate(std::move(purge));
   active_ = false;
-}
-
-std::optional<InterfaceView> OspfEngine::find_interface(
-    const net::InterfaceName& name) const {
-  for (const InterfaceView& interface : env_.interfaces())
-    if (interface.name == name) return interface;
-  return std::nullopt;
 }
 
 std::vector<net::RouterId> OspfEngine::seen_on(const net::InterfaceName& interface) const {
@@ -104,13 +95,13 @@ void OspfEngine::handle(const net::InterfaceName& in_interface, const Message& m
   if (!active_) return;
   if (const auto* hello = std::get_if<OspfHello>(&message))
     handle_hello(in_interface, *hello);
-  else if (const auto* lsa = std::get_if<OspfLsa>(&message))
+  else if (const auto* lsa = std::get_if<OspfLsaPtr>(&message))
     handle_lsa(in_interface, *lsa);
 }
 
 void OspfEngine::handle_hello(const net::InterfaceName& in_interface,
                               const OspfHello& hello) {
-  auto interface = find_interface(in_interface);
+  auto interface = env_.interface(in_interface);
   if (!interface || !participates(*interface) || passive(*interface) || !interface->up)
     return;
   if (hello.router_id == router_id_) return;
@@ -140,27 +131,27 @@ void OspfEngine::handle_hello(const net::InterfaceName& in_interface,
     regenerate_lsa();
     if (now_full) {
       // Database exchange on adjacency-full (DD/LSR/LSU collapsed).
-      for (const auto& [origin, lsa] : lsdb_)
-        env_.send_on_interface(in_interface, Message(lsa));
+      for (const OspfLsaPtr& lsa : lsdb_) env_.send_on_interface(in_interface, Message(lsa));
     }
   }
 }
 
-void OspfEngine::handle_lsa(const net::InterfaceName& in_interface, const OspfLsa& lsa) {
-  auto interface = find_interface(in_interface);
+void OspfEngine::handle_lsa(const net::InterfaceName& in_interface, const OspfLsaPtr& lsa) {
+  auto interface = env_.interface(in_interface);
   if (!interface || !participates(*interface) || passive(*interface)) return;
 
-  if (lsa.origin == router_id_) {
-    if (lsa.sequence >= own_sequence_ && !lsa.same_content(lsdb_[router_id_])) {
-      own_sequence_ = lsa.sequence;
-      lsdb_[router_id_] = lsa;
+  if (lsa->origin == router_id_) {
+    const OspfLsa* own = lsdb_.find(router_id_);
+    if (lsa->sequence >= own_sequence_ && (own == nullptr || !lsa->same_content(*own))) {
+      own_sequence_ = lsa->sequence;
+      lsdb_.put(lsa);
       regenerate_lsa();
     }
     return;
   }
-  auto it = lsdb_.find(lsa.origin);
-  if (it != lsdb_.end() && it->second.sequence >= lsa.sequence) return;
-  lsdb_[lsa.origin] = lsa;
+  const OspfLsa* stored = lsdb_.find(lsa->origin);
+  if (stored != nullptr && stored->sequence >= lsa->sequence) return;
+  lsdb_.put(lsa);
   flood(lsa, in_interface);
   schedule_spf();
 }
@@ -178,15 +169,20 @@ void OspfEngine::regenerate_lsa() {
   std::sort(lsa.neighbors.begin(), lsa.neighbors.end());
   std::sort(lsa.prefixes.begin(), lsa.prefixes.end());
 
-  auto it = lsdb_.find(router_id_);
-  if (it != lsdb_.end() && it->second.same_content(lsa)) return;
-  lsa.sequence = ++own_sequence_;
-  lsdb_[router_id_] = lsa;
-  flood(lsa, /*except=*/"");
+  const OspfLsa* own = lsdb_.find(router_id_);
+  if (own != nullptr && own->same_content(lsa)) return;
+  originate(std::move(lsa));
   schedule_spf();
 }
 
-void OspfEngine::flood(const OspfLsa& lsa, const net::InterfaceName& except) {
+void OspfEngine::originate(OspfLsa lsa) {
+  lsa.sequence = ++own_sequence_;
+  auto shared = std::make_shared<const OspfLsa>(std::move(lsa));
+  lsdb_.put(shared);
+  flood(shared, /*except=*/"");
+}
+
+void OspfEngine::flood(const OspfLsaPtr& lsa, const net::InterfaceName& except) {
   for (const auto& [name, adjacency] : adjacencies_) {
     if (adjacency.state != OspfAdjacency::State::kFull) continue;
     if (name == except) continue;
@@ -198,7 +194,7 @@ void OspfEngine::interfaces_changed() {
   if (!active_) return;
   bool dropped = false;
   for (auto it = adjacencies_.begin(); it != adjacencies_.end();) {
-    auto interface = find_interface(it->first);
+    auto interface = env_.interface(it->first);
     bool alive = interface && interface->up && participates(*interface) &&
                  !passive(*interface);
     if (!alive) {
@@ -236,9 +232,9 @@ void OspfEngine::run_spf() {
   states[router_id_].distance = 0;
 
   auto reports = [&](net::RouterId from, net::RouterId to) {
-    auto it = lsdb_.find(from);
-    if (it == lsdb_.end()) return false;
-    for (const auto& neighbor : it->second.neighbors)
+    const OspfLsa* lsa = lsdb_.find(from);
+    if (lsa == nullptr) return false;
+    for (const auto& neighbor : lsa->neighbors)
       if (neighbor.router_id == to) return true;
     return false;
   };
@@ -253,9 +249,9 @@ void OspfEngine::run_spf() {
     queue.pop();
     if (settled.count(node)) continue;
     settled.insert(node);
-    auto lsa_it = lsdb_.find(node);
-    if (lsa_it == lsdb_.end()) continue;
-    for (const auto& edge : lsa_it->second.neighbors) {
+    const OspfLsa* lsa = lsdb_.find(node);
+    if (lsa == nullptr) continue;
+    for (const auto& edge : lsa->neighbors) {
       if (!reports(edge.router_id, node)) continue;
       uint32_t candidate = distance + edge.metric;
       NodeState& neighbor_state = states[edge.router_id];
@@ -281,13 +277,13 @@ void OspfEngine::run_spf() {
 
   std::vector<rib::RibRoute> fresh;
   std::map<net::Ipv4Prefix, uint32_t> best_metric;
-  for (const auto& [origin, lsa] : lsdb_) {
-    if (origin == router_id_) continue;
-    auto state_it = states.find(origin);
+  for (const OspfLsaPtr& lsa : lsdb_) {
+    if (lsa->origin == router_id_) continue;
+    auto state_it = states.find(lsa->origin);
     if (state_it == states.end() ||
         state_it->second.distance == std::numeric_limits<uint32_t>::max())
       continue;
-    for (const auto& item : lsa.prefixes) {
+    for (const auto& item : lsa->prefixes) {
       uint32_t total = state_it->second.distance + item.metric;
       auto best_it = best_metric.find(item.prefix);
       if (best_it != best_metric.end() && best_it->second < total) continue;

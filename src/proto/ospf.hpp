@@ -17,6 +17,7 @@
 
 #include "config/device_config.hpp"
 #include "proto/env.hpp"
+#include "proto/lsdb.hpp"
 #include "proto/messages.hpp"
 
 namespace mfv::proto {
@@ -40,8 +41,9 @@ class OspfEngine {
 
   void start();
 
-  /// Deep copy of the full instance state bound to a new env; valid only
-  /// while the owning emulation is quiescent (scenario-engine fork).
+  /// Copy of the full instance state bound to a new env, sharing the LSDB;
+  /// valid only while the owning emulation is quiescent (scenario-engine
+  /// fork).
   std::unique_ptr<OspfEngine> fork(RouterEnv& env) const;
 
   void handle(const net::InterfaceName& in_interface, const Message& message);
@@ -51,7 +53,7 @@ class OspfEngine {
   const std::map<net::InterfaceName, OspfAdjacency>& adjacencies() const {
     return adjacencies_;
   }
-  const std::map<net::RouterId, OspfLsa>& database() const { return lsdb_; }
+  const Lsdb<OspfLsa>& database() const { return lsdb_; }
   uint32_t spf_runs() const { return spf_runs_; }
 
  private:
@@ -64,13 +66,14 @@ class OspfEngine {
 
   void send_hello(const InterfaceView& interface);
   void handle_hello(const net::InterfaceName& in_interface, const OspfHello& hello);
-  void handle_lsa(const net::InterfaceName& in_interface, const OspfLsa& lsa);
+  void handle_lsa(const net::InterfaceName& in_interface, const OspfLsaPtr& lsa);
   void regenerate_lsa();
-  void flood(const OspfLsa& lsa, const net::InterfaceName& except);
+  /// Stores `lsa` as our own LSA and floods it everywhere.
+  void originate(OspfLsa lsa);
+  void flood(const OspfLsaPtr& lsa, const net::InterfaceName& except);
   void schedule_spf();
   void run_spf();
 
-  std::optional<InterfaceView> find_interface(const net::InterfaceName& name) const;
   std::vector<net::RouterId> seen_on(const net::InterfaceName& interface) const;
 
   RouterEnv& env_;
@@ -80,7 +83,7 @@ class OspfEngine {
   std::map<net::InterfaceName, uint32_t> costs_;
 
   std::map<net::InterfaceName, OspfAdjacency> adjacencies_;
-  std::map<net::RouterId, OspfLsa> lsdb_;
+  Lsdb<OspfLsa> lsdb_;
   uint32_t own_sequence_ = 0;
   bool spf_pending_ = false;
   uint32_t spf_runs_ = 0;

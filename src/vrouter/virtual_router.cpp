@@ -73,22 +73,32 @@ bool VirtualRouter::interface_up(const config::InterfaceConfig& interface) const
   return it != link_connected_.end() && it->second;
 }
 
+proto::InterfaceView VirtualRouter::view_of(const net::InterfaceName& name,
+                                            const config::InterfaceConfig& interface) const {
+  proto::InterfaceView view;
+  view.name = name;
+  view.address = interface.address;
+  view.up = interface_up(interface);
+  view.isis_enabled = interface.isis_enabled;
+  view.isis_passive = interface.isis_passive;
+  view.isis_metric = interface.isis_metric;
+  view.mpls_enabled = interface.mpls_enabled;
+  view.vrf = interface.vrf;
+  return view;
+}
+
 std::vector<proto::InterfaceView> VirtualRouter::interfaces() const {
   std::vector<proto::InterfaceView> views;
   views.reserve(config_.interfaces.size());
-  for (const auto& [name, interface] : config_.interfaces) {
-    proto::InterfaceView view;
-    view.name = name;
-    view.address = interface.address;
-    view.up = interface_up(interface);
-    view.isis_enabled = interface.isis_enabled;
-    view.isis_passive = interface.isis_passive;
-    view.isis_metric = interface.isis_metric;
-    view.mpls_enabled = interface.mpls_enabled;
-    view.vrf = interface.vrf;
-    views.push_back(std::move(view));
-  }
+  for (const auto& [name, interface] : config_.interfaces) views.push_back(view_of(name, interface));
   return views;
+}
+
+std::optional<proto::InterfaceView> VirtualRouter::interface(
+    const net::InterfaceName& name) const {
+  auto it = config_.interfaces.find(name);
+  if (it == config_.interfaces.end()) return std::nullopt;
+  return view_of(it->first, it->second);
 }
 
 void VirtualRouter::install_connected_routes() {

@@ -69,8 +69,9 @@ class VirtualRouter final : public proto::RouterEnv {
   VirtualRouter(const VirtualRouter&) = delete;
   VirtualRouter& operator=(const VirtualRouter&) = delete;
 
-  /// Deep copy of the entire device onto a new fabric: configuration, all
+  /// Copy of the entire device onto a new fabric: configuration, all
   /// RIBs/FIBs, and every protocol engine's session/adjacency/LSDB state.
+  /// RIBs, FIBs and LSDBs are shared copy-on-write with this router.
   /// Only valid while no callbacks are pending on the owning fabric (the
   /// emulation kernel is idle), because scheduled callbacks are not — and
   /// cannot be — cloned. The copy continues exactly where the original
@@ -138,6 +139,7 @@ class VirtualRouter final : public proto::RouterEnv {
   // -- proto::RouterEnv --
   const net::NodeName& node_name() const override { return config_.hostname; }
   std::vector<proto::InterfaceView> interfaces() const override;
+  std::optional<proto::InterfaceView> interface(const net::InterfaceName& name) const override;
   void send_on_interface(const net::InterfaceName& interface,
                          const proto::Message& message) override;
   void send_addressed(net::Ipv4Address destination, const proto::Message& message) override;
@@ -151,6 +153,8 @@ class VirtualRouter final : public proto::RouterEnv {
   VirtualRouter(const VirtualRouter& other, Fabric& fabric);
 
   bool interface_up(const config::InterfaceConfig& interface) const;
+  proto::InterfaceView view_of(const net::InterfaceName& name,
+                               const config::InterfaceConfig& interface) const;
   void install_connected_routes();
   void install_static_routes();
   void schedule_fib_compile();

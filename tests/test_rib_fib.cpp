@@ -233,7 +233,7 @@ class RibEditor {
       case 0: rib.add(connected(1 + pick(4))); break;
       case 1: rib.remove(connected(1 + pick(4))); break;
       case 2: reinstall_igp(rib); break;
-      case 3: igp_prefix(rib); break;
+      case 3: igp_prefixes(rib); break;
       case 4: rib.add(bgp()); break;
       case 5: rib.remove(bgp()); break;
       case 6: static_route(rib); break;
@@ -301,10 +301,18 @@ class RibEditor {
     rib.replace_protocol(Protocol::kIsis, "default", std::move(all));
   }
 
-  void igp_prefix(Rib& rib) {
-    uint32_t k = 1 + pick(6);
-    rib.replace_prefix(Protocol::kIsis, "default", net::Ipv4Prefix::host(loopback(k)),
-                       pick(4) == 0 ? std::vector<RibRoute>{} : igp_routes(k));
+  /// A batched diff install: a random subset of the loopbacks, each
+  /// withdrawn or given a fresh ECMP set.
+  void igp_prefixes(Rib& rib) {
+    std::vector<net::Ipv4Prefix> prefixes;
+    std::vector<RibRoute> routes;
+    for (uint32_t k = 1; k <= 6; ++k) {
+      if (pick(2) != 0) continue;
+      prefixes.push_back(net::Ipv4Prefix::host(loopback(k)));
+      if (pick(4) != 0)
+        for (RibRoute& route : igp_routes(k)) routes.push_back(std::move(route));
+    }
+    rib.replace_prefixes(Protocol::kIsis, "default", prefixes, std::move(routes));
   }
 
   RibRoute bgp() {
@@ -455,8 +463,8 @@ TEST(RibDirty, MutationsMarkWhatTheyTouch) {
 
   RibRoute isis = rib.best(pfx("2.2.2.2/32")).front();
   isis.metric = 30;
-  EXPECT_TRUE(rib.replace_prefix(Protocol::kIsis, "", isis.prefix, {isis}));
-  EXPECT_FALSE(rib.replace_prefix(Protocol::kIsis, "", isis.prefix, {isis}));
+  EXPECT_TRUE(rib.replace_prefixes(Protocol::kIsis, "", {isis.prefix}, {isis}));
+  EXPECT_FALSE(rib.replace_prefixes(Protocol::kIsis, "", {isis.prefix}, {isis}));
   RibRoute connected = rib.best(pfx("100.64.0.0/31")).front();
   EXPECT_EQ(rib.clear_protocol(Protocol::kConnected), 1u);
   dirty = rib.take_dirty();
