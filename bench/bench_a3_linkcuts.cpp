@@ -8,7 +8,8 @@
 //   * cold     — one full emulation boot per scenario (the paper's path);
 //   * forked   — the scenario engine: boot once, fork the converged base
 //                per scenario, apply the cut, re-converge incrementally
-//                (serial and sharded across the thread pool).
+//                and splice the pairwise answer from the base's (serial
+//                and sharded across the thread pool).
 // Fork-equivalence (tests/test_scenario_fork.cpp) guarantees both produce
 // identical snapshots, so the speedup column is a pure-cost comparison.
 // The forked path also makes the k=2 sweep (C(links,2) scenarios) cheap
@@ -34,7 +35,7 @@ struct SweepStats {
   size_t worst_broken_pairs = 0;
   std::string worst_cut;
   double ms = 0.0;
-  /// Aggregated splice counters when the sweep verified incrementally.
+  /// Aggregated splice counters of the forked sweeps.
   verify::IncrementalStats incremental;
   size_t fallbacks = 0;
 };
@@ -102,7 +103,7 @@ SweepStats sweep_cold(const emu::Topology& topology) {
 /// usage where the base already exists).
 SweepStats sweep_forked(const emu::Emulation& base,
                         const std::vector<scenario::Scenario>& scenarios,
-                        unsigned threads, bool incremental = false) {
+                        unsigned threads) {
   SweepStats stats;
   double begin = now_ms();
 
@@ -110,7 +111,6 @@ SweepStats sweep_forked(const emu::Emulation& base,
   options.threads = threads;
   options.keep_snapshots = false;
   options.verify = a3_verify_options();
-  options.incremental = incremental;
   scenario::ScenarioRunner runner(base, options);
   auto results = runner.run(scenarios);
   if (!results.ok()) return stats;
@@ -154,10 +154,11 @@ void record_sweep(const char* sweep, const char* approach, const SweepStats& sta
   fields["scenarios"] = static_cast<uint64_t>(stats.scenarios);
   fields["ms"] = stats.ms;
   if (cold_ms > 0 && stats.ms > 0) fields["speedup"] = cold_ms / stats.ms;
-  if (stats.incremental.classes > 0 || stats.fallbacks > 0) {
+  if (stats.incremental.destinations > 0 || stats.fallbacks > 0) {
     fields["splice_hits"] = static_cast<uint64_t>(stats.incremental.spliced);
     fields["retraced"] = static_cast<uint64_t>(stats.incremental.retraced);
-    fields["dirty_classes"] = static_cast<uint64_t>(stats.incremental.dirty_classes);
+    fields["dirty_destinations"] =
+        static_cast<uint64_t>(stats.incremental.dirty_destinations);
     fields["fallbacks"] = static_cast<uint64_t>(stats.fallbacks);
   }
   mfvbench::timing("A3_TIMING", fields);
@@ -188,8 +189,6 @@ void report() {
   SweepStats cold = sweep_cold(topology);
   SweepStats forked_serial = sweep_forked(base, k1, /*threads=*/1);
   SweepStats forked_threaded = sweep_forked(base, k1, /*threads=*/0);
-  SweepStats incremental_threaded =
-      sweep_forked(base, k1, /*threads=*/0, /*incremental=*/true);
 
   std::printf("=== A3: Exhaustive what-if search, per-scenario emulation vs forking ===\n");
   std::printf("topology: %zu routers, %zu links (ring + chords)\n\n",
@@ -200,22 +199,18 @@ void report() {
   print_row("cold boot", cold, cold.ms);
   print_row("forked serial", forked_serial, cold.ms);
   print_row("forked threaded", forked_threaded, cold.ms);
-  print_row("incr threaded", incremental_threaded, cold.ms);
   if (cold.breaking_cuts != forked_serial.breaking_cuts ||
-      cold.breaking_cuts != forked_threaded.breaking_cuts ||
-      cold.breaking_cuts != incremental_threaded.breaking_cuts)
+      cold.breaking_cuts != forked_threaded.breaking_cuts)
     std::printf("  WARNING: breaking-cut counts disagree between approaches\n");
   if (forked_serial.worst_broken_pairs > 0)
     std::printf("  worst cut: %s (%zu pairs lost)\n", forked_serial.worst_cut.c_str(),
                 forked_serial.worst_broken_pairs);
-  std::printf("  incremental: %zu spliced / %zu retraced columns, %zu fallbacks\n",
-              incremental_threaded.incremental.spliced,
-              incremental_threaded.incremental.retraced,
-              incremental_threaded.fallbacks);
+  std::printf("  forked splice: %zu spliced / %zu retraced cells, %zu fallbacks\n",
+              forked_threaded.incremental.spliced, forked_threaded.incremental.retraced,
+              forked_threaded.fallbacks);
   record_sweep("k1", "cold", cold, 0);
   record_sweep("k1", "forked-serial", forked_serial, cold.ms);
   record_sweep("k1", "forked-threaded", forked_threaded, cold.ms);
-  record_sweep("k1", "incremental-threaded", incremental_threaded, cold.ms);
 
   // The exponential the paper warns about — now with the k=2 sweep
   // actually executed on the scenario engine instead of only counted.
@@ -236,20 +231,13 @@ void report() {
   if (k2_stats.worst_broken_pairs > 0)
     std::printf("  worst pair of cuts          : %s (%zu pairs lost)\n",
                 k2_stats.worst_cut.c_str(), k2_stats.worst_broken_pairs);
+  std::printf("  spliced / retraced cells    : %zu / %zu (%zu fallbacks)\n",
+              k2_stats.incremental.spliced, k2_stats.incremental.retraced,
+              k2_stats.fallbacks);
   record_sweep("k2", "forked-threaded", k2_stats, 0);
-  SweepStats k2_incremental = sweep_forked(base, k2, /*threads=*/0, /*incremental=*/true);
-  std::printf("  incremental rerun           : %.1f ms (%.2fx; %zu spliced / %zu "
-              "retraced, %zu fallbacks)\n",
-              k2_incremental.ms,
-              k2_incremental.ms > 0 ? k2_stats.ms / k2_incremental.ms : 0.0,
-              k2_incremental.incremental.spliced, k2_incremental.incremental.retraced,
-              k2_incremental.fallbacks);
-  record_sweep("k2", "incremental-threaded", k2_incremental, k2_stats.ms);
 
-  // Incremental verification at scale: on a 200-router WAN the pairwise
-  // verify dominates each forked scenario, which is exactly the cost the
-  // splicer removes. The k=2 sweep is restricted to cuts among the first
-  // 14 links (C(14,2) = 91 scenarios) to keep the cold side runnable.
+  // The headline sweep: a 200-router WAN, k=2 restricted to cuts among
+  // the first 14 links (C(14,2) = 91 scenarios).
   workload::WanOptions big_options;
   big_options.routers = 200;
   big_options.seed = 11;
@@ -261,23 +249,14 @@ void report() {
   emu::Topology big_cuts = big;
   if (big_cuts.links.size() > 14) big_cuts.links.resize(14);
   std::vector<scenario::Scenario> big_k2 = scenario::k_link_cuts(big_cuts, 2);
-  SweepStats big_cold = sweep_forked(big_base, big_k2, /*threads=*/0);
-  SweepStats big_incremental =
-      sweep_forked(big_base, big_k2, /*threads=*/0, /*incremental=*/true);
+  SweepStats big_stats = sweep_forked(big_base, big_k2, /*threads=*/0);
   std::printf("\n200-router WAN, k=2 over first 14 links (%zu scenarios):\n",
               big_k2.size());
-  std::printf("  forked + cold verify        : %.1f ms\n", big_cold.ms);
-  std::printf("  forked + incremental verify : %.1f ms (%.2fx; %zu spliced / %zu "
-              "retraced, %zu fallbacks)\n",
-              big_incremental.ms,
-              big_incremental.ms > 0 ? big_cold.ms / big_incremental.ms : 0.0,
-              big_incremental.incremental.spliced,
-              big_incremental.incremental.retraced, big_incremental.fallbacks);
-  if (big_cold.breaking_cuts != big_incremental.breaking_cuts)
-    std::printf("  WARNING: breaking-cut counts disagree (cold %zu vs incremental %zu)\n",
-                big_cold.breaking_cuts, big_incremental.breaking_cuts);
-  record_sweep("k2-200r", "forked-threaded", big_cold, 0);
-  record_sweep("k2-200r", "incremental-threaded", big_incremental, big_cold.ms);
+  std::printf("  forked threaded             : %.1f ms (%zu spliced / %zu retraced "
+              "cells, %zu fallbacks)\n",
+              big_stats.ms, big_stats.incremental.spliced, big_stats.incremental.retraced,
+              big_stats.fallbacks);
+  record_sweep("k2-200r", "forked-threaded", big_stats, 0);
 
   // Negative control: a line topology, where every link is a bridge — the
   // sweep must flag every cut.

@@ -5,15 +5,17 @@
 // them, and `--json out.json` (stripped from argv before the benchmark
 // library parses flags) dumps everything recorded as one JSON document:
 //
-//   { "bench": "bench_a3_linkcuts",
+//   { "bench": "bench_a3_linkcuts", "host": {...},
 //     "metrics": [ {"metric": "A3_TIMING", "sweep": "k1", ...}, ... ] }
 //
 // Field order inside each metric row follows the legacy line order
-// (util::Json objects preserve insertion order).
+// (util::Json objects preserve insertion order). The document also names
+// its host: {"host": {"nproc": ..., "build_type": ...}}.
 #pragma once
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "util/json.hpp"
@@ -73,6 +75,12 @@ class JsonReport {
     if (path_.empty()) return;
     mfv::util::Json document = mfv::util::Json::object();
     document["bench"] = bench_;
+    // The host the rows were measured on, so a trajectory file says
+    // which core count and build it compares against.
+    mfv::util::Json host = mfv::util::Json::object();
+    host["nproc"] = static_cast<uint64_t>(std::thread::hardware_concurrency());
+    host["build_type"] = MFV_BENCH_BUILD_TYPE;
+    document["host"] = std::move(host);
     document["metrics"] = mfv::util::Json(rows_);
     if (attachments_.is_object()) document["attachments"] = attachments_;
     std::FILE* file = std::fopen(path_.c_str(), "w");

@@ -67,12 +67,11 @@ emu::Topology bench_topology(uint64_t seed) {
 }
 
 struct Harness {
-  explicit Harness(bool capture_verify_base = true, const char* tag = "",
+  explicit Harness(const char* tag = "",
                    const service::ServiceOptions* overrides = nullptr) {
     service::ServiceOptions options;
     if (overrides != nullptr) options = *overrides;
     options.broker.queue_capacity = 4096;  // the load phases outrun one worker
-    options.capture_verify_base = capture_verify_base;
     service = std::make_unique<service::VerificationService>(options);
     service::ServerOptions server_options;
     server_options.unix_path =
@@ -225,51 +224,6 @@ void report() {
     emit("fork-hit", fork_hit, std::move(extra));
   }
 
-  // -- incremental: first pairwise query on a freshly forked snapshot.
-  //    With capture_verify_base on (the default) the query splices
-  //    against the base's captured disposition matrix; a second service
-  //    with capture disabled serves the identical fork cold. The first
-  //    query per side is the headline — repeats hit the fork's own warm
-  //    TraceCache on both sides --
-  {
-    const std::string forked_key = forked->result.find("snapshot")->as_string();
-    auto query_phase = [&](service::Client& c, const std::string& key) {
-      std::vector<double> latencies;
-      for (int i = 0; i < 20; ++i) {
-        Clock::time_point start = Clock::now();
-        auto response = c.call(query_request(500 + static_cast<uint64_t>(i), key));
-        if (!response.ok() || !response->ok()) std::abort();
-        latencies.push_back(ms_since(start));
-      }
-      return latencies;
-    };
-
-    Clock::time_point phase = Clock::now();
-    std::vector<double> spliced = query_phase(client, forked_key);
-    double spliced_wall = ms_since(phase);
-
-    Harness cold_harness(/*capture_verify_base=*/false, "_cold");
-    service::Client cold_client = cold_harness.connect();
-    std::string cold_base = upload_and_snapshot(cold_client, first_topology);
-    auto cold_forked = cold_client.call(fork_request(cold_base, first_topology));
-    if (!cold_forked.ok() || !cold_forked->ok()) std::abort();
-    const std::string cold_key = cold_forked->result.find("snapshot")->as_string();
-    phase = Clock::now();
-    std::vector<double> cold_queries = query_phase(cold_client, cold_key);
-    double cold_wall = ms_since(phase);
-
-    util::Json extra = util::Json::object();
-    extra["first_ms"] = spliced.front();
-    emit("incremental", summarize(spliced, spliced_wall), std::move(extra));
-    extra = util::Json::object();
-    extra["first_ms"] = cold_queries.front();
-    emit("incremental-cold", summarize(cold_queries, cold_wall), std::move(extra));
-    util::Json fields = util::Json::object();
-    fields["incremental_vs_cold_first"] =
-        spliced.front() > 0 ? cold_queries.front() / spliced.front() : 0.0;
-    mfvbench::timing("SERVICE_SPEEDUP", fields);
-  }
-
   // -- closed-loop: K clients, back-to-back pairwise queries --
   constexpr int kClients = 4;
   constexpr int kPerClient = 100;
@@ -373,7 +327,7 @@ void report_tenant_isolation() {
 
   service::ServiceOptions overrides;
   overrides.broker.threads = 1;  // fixed so the backlog math is portable
-  Harness harness(/*capture_verify_base=*/true, "_tenant", &overrides);
+  Harness harness("_tenant", &overrides);
 
   auto tenant_request = [](uint64_t id, const std::string& verb,
                            const std::string& tenant) {
@@ -509,9 +463,9 @@ void report_tenant_isolation() {
 void report_ring() {
   std::printf("=== service: consistent-hash ring, two instances ===\n");
 
-  Harness instance0(true, "_ring0");
-  Harness instance1(true, "_ring1");
-  Harness single(true, "_ring_single");
+  Harness instance0("_ring0");
+  Harness instance1("_ring1");
+  Harness single("_ring_single");
   service::Client single_client = single.connect();
 
   service::ClusterClientOptions cluster_options;

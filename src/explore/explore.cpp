@@ -10,7 +10,6 @@
 #include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/forwarding_graph.hpp"
-#include "verify/incremental/incremental.hpp"
 #include "verify/queries.hpp"
 
 namespace mfv::explore {
@@ -189,8 +188,6 @@ util::Json ExploreResult::to_json() const {
   json["truncated_runs"] = static_cast<int64_t>(truncated_runs);
   json["complete"] = complete;
   json["events_total"] = static_cast<int64_t>(events_total);
-  json["spliced_cells"] = static_cast<int64_t>(spliced_cells);
-  json["retraced_cells"] = static_cast<int64_t>(retraced_cells);
   util::Json state_array = util::Json::array();
   for (const StateSummary& summary : states) {
     util::Json entry = util::Json::object();
@@ -357,50 +354,21 @@ util::Result<ExploreResult> explore(const ExploreInput& input,
   if (!options.verify_properties || result.states.empty()) return result;
 
   // -- property evaluation, once per unique state ---------------------------
-  // State 0 (in sorted order) is the splice reference: its reachability is
-  // traced cold and captured; every later state splices against it via the
-  // incremental engine, so N states cost one full sweep plus N-1 diffs.
   std::vector<std::unique_ptr<verify::ForwardingGraph>> graphs;
   graphs.reserve(order.size());
   for (size_t id : order)
-    graphs.push_back(std::make_unique<verify::ForwardingGraph>(info[id].snapshot));
+    graphs.push_back(std::make_unique<verify::ForwardingGraph>(std::move(info[id].snapshot)));
 
   verify::QueryOptions query;
   query.scope = options.scope;
   query.threads = options.verify_threads == 0 ? 1 : options.verify_threads;
   query.metrics = options.metrics;
 
-  std::unique_ptr<verify::IncrementalBase> splice_base;
   std::vector<std::vector<Cell>> state_cells(order.size());
   std::vector<bool> state_loops(order.size(), false);
   for (size_t i = 0; i < order.size(); ++i) {
-    verify::QueryOptions state_query = query;
-    verify::IncrementalStats splice_stats;
-    if (i == 0 && options.use_incremental && order.size() > 1) {
-      // The capture computes the full disposition matrix — state 0's rows
-      // come straight out of it, so the reference sweep runs exactly once.
-      splice_base = verify::capture_incremental_base(*graphs[0], query);
-      verify::ReachabilityResult reach;
-      size_t columns = splice_base->classes.size();
-      for (size_t s = 0; s < splice_base->sources.size(); ++s)
-        for (size_t c = 0; c < columns; ++c)
-          reach.rows.push_back(verify::ReachabilityRow{
-              splice_base->sources[s], splice_base->classes[c],
-              splice_base->matrix[s * columns + c]});
-      state_cells[0] = cells_of(reach);
-    } else {
-      if (i > 0 && splice_base != nullptr) {
-        state_query.incremental = splice_base.get();
-        state_query.incremental_stats = &splice_stats;
-      }
-      verify::ReachabilityResult reach = verify::reachability(*graphs[i], state_query);
-      state_cells[i] = cells_of(reach);
-      result.spliced_cells += splice_stats.spliced;
-      result.retraced_cells += splice_stats.retraced;
-    }
-
-    verify::ReachabilityResult loops = verify::detect_loops(*graphs[i], query);
-    state_loops[i] = !loops.rows.empty();
+    state_cells[i] = cells_of(verify::reachability(*graphs[i], query));
+    state_loops[i] = !verify::detect_loops(*graphs[i], query).rows.empty();
   }
 
   auto witness_for = [&](size_t sorted_index) {

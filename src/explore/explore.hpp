@@ -23,8 +23,7 @@
 // serialization), so neither spawns branches. Converged states are
 // canonicalized and deduped (canonical.hpp), so schedules that commute to
 // the same dataplane collapse; properties are evaluated once per unique
-// state, with later states spliced against the first via the incremental
-// verify engine. Verdicts are holds-on-all / fails-on-some with a witness
+// state, each verified cold. Verdicts are holds-on-all / fails-on-some with a witness
 // schedule that replays deterministically (replay_schedule).
 #pragma once
 
@@ -60,9 +59,6 @@ struct ExploreOptions {
   /// Evaluate properties (loop_free / blackhole_free / forwarding_stable)
   /// per unique state. Off = states and counters only.
   bool verify_properties = true;
-  /// Splice later states' reachability against the first state's captured
-  /// matrix (verify/incremental) instead of tracing cold.
-  bool use_incremental = true;
   /// Keep each unique state's canonical bytes in the result (replay
   /// byte-identity tests); off by default to bound result size.
   bool keep_state_bytes = false;
@@ -146,10 +142,6 @@ struct ExploreResult {
   bool complete = true;
   /// Virtual-time convergence of the default schedule, events executed.
   uint64_t events_total = 0;
-  /// Incremental-verify splice accounting across per-state property
-  /// sweeps (0 when verify_properties or use_incremental is off).
-  uint64_t spliced_cells = 0;
-  uint64_t retraced_cells = 0;
 
   /// Sorted by hash for determinism across worker counts.
   std::vector<StateSummary> states;

@@ -64,8 +64,8 @@ enum Oracle : uint32_t {
   kOracleSharded = 1u << 4,
   /// Incremental re-verification vs cold: after fork + perturb +
   /// re-converge, the splicing engine (verify/incremental, seeded with
-  /// the base's captured disposition matrix) must reproduce the cold
-  /// reachability rows and pairwise cells byte for byte.
+  /// the base's captured pairwise answer) must reproduce the cold
+  /// pairwise cells byte for byte.
   kOracleIncremental = 1u << 5,
   /// Exhaustive exploration soundness (src/explore): jitter-sampled
   /// converged states of the case's topology must canonicalize into the

@@ -187,12 +187,9 @@ ScenarioRunner::ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions
     : base_(base),
       options_(options),
       base_idle_(base.kernel().idle()),
-      base_snapshot_(gnmi::Snapshot::capture(base, "base")),
-      base_graph_(base_snapshot_) {
-  base_pairwise_ = verify::pairwise_reachability(base_graph_, options_.verify);
-  if (options_.incremental)
-    incremental_base_ = verify::capture_incremental_base(base_graph_, options_.verify);
-}
+      base_graph_(gnmi::Snapshot::capture(base, "base")),
+      incremental_base_(verify::capture_incremental_base(base_graph_, options_.verify)),
+      base_pairwise_(incremental_base_->pairwise()) {}
 
 util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
     const std::vector<Scenario>& scenarios) const {
@@ -244,17 +241,14 @@ util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
       reconvergence_us->observe(result.reconvergence.count_micros());
     }
 
-    gnmi::Snapshot snapshot = gnmi::Snapshot::capture(*fork, scenario.name);
-    verify::ForwardingGraph graph(snapshot);
+    verify::ForwardingGraph graph(gnmi::Snapshot::capture(*fork, scenario.name));
     verify::QueryOptions verify_options = options_.verify;
-    if (incremental_base_ != nullptr) {
-      // Shared read-only across shards; diff + splice are const over it.
-      verify_options.incremental = incremental_base_.get();
-      verify_options.incremental_stats = &result.incremental;
-    }
+    // Shared read-only across shards; diff + splice are const over it.
+    verify_options.incremental = incremental_base_.get();
+    verify_options.incremental_stats = &result.incremental;
     result.pairwise = verify::pairwise_reachability(graph, verify_options);
     result.broken_pairs = broken_pairs(base_pairwise_, result.pairwise);
-    if (options_.keep_snapshots) result.snapshot = std::move(snapshot);
+    if (options_.keep_snapshots) result.snapshot = graph.snapshot();
   });
 
   // Process-wide delta, so clones by a concurrent unrelated sweep can

@@ -186,20 +186,10 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
                                       "' did not converge within the event budget");
         entry->convergence_time = emulation->converged_at() - util::TimePoint(0);
         entry->messages = emulation->messages_delivered();
-        entry->snapshot = gnmi::Snapshot::capture(*emulation, *id);
+        entry->graph = std::make_unique<verify::ForwardingGraph>(
+            gnmi::Snapshot::capture(*emulation, *id));
         entry->emulation = std::move(emulation);
-        entry->graph = std::make_unique<verify::ForwardingGraph>(entry->snapshot);
         entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        if (options_.capture_verify_base) {
-          // Same engine shape as query_options(); routing the capture
-          // through the entry cache fully warms it as a side effect.
-          verify::QueryOptions capture;
-          capture.threads = options_.query_threads;
-          capture.cache = entry->cache.get();
-          capture.metrics = metrics_;
-          entry->verify_base =
-              verify::capture_incremental_base(*entry->graph, capture);
-        }
         return entry;
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());
@@ -208,7 +198,7 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
   util::Json result = util::Json::object();
   result["snapshot"] = *id;
   result["hit"] = lease->hit;
-  result["entries"] = lease->entry->snapshot.total_entries();
+  result["entries"] = lease->entry->graph->snapshot().total_entries();
   result["convergence_virtual_us"] = lease->entry->convergence_time.count_micros();
   result["messages"] = lease->entry->messages;
   return Response::success(request.id, std::move(result));
@@ -270,19 +260,6 @@ Response VerificationService::query(const Request& request, util::Json& timing,
   }
   size_t max_rows = bool_param(request, "full", false) ? 0 : options_.max_rows;
 
-  // A forked snapshot verifies against its ancestor's captured result:
-  // the splicer re-traces only what the perturbation dirtied. The lease's
-  // parent pointer pins the ancestor, so eviction cannot race this.
-  verify::IncrementalStats incremental_stats;
-  const StoredSnapshot* splice_base =
-      entry.parent != nullptr && entry.parent->verify_base != nullptr
-          ? entry.parent.get()
-          : nullptr;
-  if (splice_base != nullptr) {
-    options.incremental = splice_base->verify_base.get();
-    options.incremental_stats = &incremental_stats;
-  }
-
   auto verify_start = std::chrono::steady_clock::now();
   obs::TraceSpan verify_span(spans_, "verify", parent_span);
   verify_span.attr("kind", kind);
@@ -320,18 +297,6 @@ Response VerificationService::query(const Request& request, util::Json& timing,
                              util::invalid_argument("unknown query kind '" + kind + "'"));
   }
 
-  if (splice_base != nullptr &&
-      (kind == "reachability" || kind == "pairwise" || kind == "loops")) {
-    util::Json incremental = util::Json::object();
-    incremental["base"] = splice_base->key.to_string();
-    incremental["spliced"] = incremental_stats.spliced;
-    incremental["retraced"] = incremental_stats.retraced;
-    incremental["dirty_classes"] = incremental_stats.dirty_classes;
-    incremental["fell_back"] = incremental_stats.fell_back;
-    if (incremental_stats.fell_back)
-      incremental["fallback_reason"] = incremental_stats.fallback_reason;
-    result["incremental"] = std::move(incremental);
-  }
   timing["verify_us"] = elapsed_us(verify_start);
   return Response::success(request.id, std::move(result));
 }
@@ -380,14 +345,10 @@ Response VerificationService::fork_scenario(const Request& request, util::Json& 
         auto entry = std::make_unique<StoredSnapshot>();
         entry->convergence_time = fork->kernel().now() - forked_at;
         entry->messages = fork->messages_delivered();
-        entry->snapshot = gnmi::Snapshot::capture(*fork, id);
+        entry->graph =
+            std::make_unique<verify::ForwardingGraph>(gnmi::Snapshot::capture(*fork, id));
         entry->emulation = std::move(fork);
-        entry->graph = std::make_unique<verify::ForwardingGraph>(entry->snapshot);
         entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        // Queries on this fork splice from the nearest ancestor that
-        // captured a verify base (forks of forks chain through it).
-        entry->parent =
-            base_entry->verify_base != nullptr ? base_entry : base_entry->parent;
         return entry;
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());
@@ -398,7 +359,7 @@ Response VerificationService::fork_scenario(const Request& request, util::Json& 
   result["base"] = base_entry->key.to_string();
   result["hit"] = lease->hit;
   result["perturbations"] = perturbations->size();
-  result["entries"] = lease->entry->snapshot.total_entries();
+  result["entries"] = lease->entry->graph->snapshot().total_entries();
   result["reconvergence_virtual_us"] = lease->entry->convergence_time.count_micros();
   return Response::success(request.id, std::move(result));
 }

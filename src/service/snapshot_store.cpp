@@ -133,9 +133,20 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   }
 
   util::Result<std::unique_ptr<StoredSnapshot>> built = builder();
+  std::shared_ptr<StoredSnapshot> entry;
+  if (built.ok() && *built != nullptr) {
+    entry = std::move(*built);
+    // Charged before locking: serializing a large snapshot takes tens of
+    // milliseconds, and every other request's lookup waits on the lock.
+    if (entry->bytes == 0 && entry->graph != nullptr)
+      entry->bytes = entry->graph->snapshot().to_json().dump().size();
+  }
+  // Entries this call evicts. Declared before the lock (as is `entry`, for
+  // a rejected insert) so their last references drop after it is released.
+  std::vector<EntryPtr> evicted;
 
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!built.ok() || *built == nullptr) {
+  if (entry == nullptr) {
     // Not cached: the next request for this key retries the build.
     slots_.erase(id);
     build_done_.notify_all();
@@ -143,11 +154,9 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
     return util::internal_error("snapshot builder returned no entry");
   }
 
-  std::shared_ptr<StoredSnapshot> entry(std::move(*built));
   entry->key = key;
   entry->tenant = tenant;
   entry->content_check = content_check;
-  if (entry->bytes == 0) entry->bytes = entry->snapshot.to_json().dump().size();
 
   TenantStoreStats& tenant_stats = tenants_[tenant];
   if (options_.tenant_byte_budget > 0 && entry->bytes > options_.tenant_byte_budget) {
@@ -169,7 +178,7 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   bytes_ += entry->bytes;
   tenant_stats.bytes += entry->bytes;
   ++tenant_stats.entries;
-  evict_locked(tenant);
+  evict_locked(tenant, evicted);
   if (entries_gauge_ != nullptr) {
     entries_gauge_->set(static_cast<int64_t>(lru_.size()));
     bytes_gauge_->set(static_cast<int64_t>(bytes_));
@@ -199,7 +208,8 @@ SnapshotStore::EntryPtr SnapshotStore::find(const std::string& tenant,
   }
 }
 
-void SnapshotStore::drop_locked(std::map<std::string, Slot>::iterator it) {
+void SnapshotStore::drop_locked(std::map<std::string, Slot>::iterator it,
+                                std::vector<EntryPtr>& evicted) {
   const EntryPtr& entry = it->second.value;
   bytes_ -= entry->bytes;
   TenantStoreStats& tenant_stats = tenants_[entry->tenant];
@@ -212,10 +222,13 @@ void SnapshotStore::drop_locked(std::map<std::string, Slot>::iterator it) {
   ++evictions_;
   if (evictions_counter_ != nullptr) evictions_counter_->add(1);
   lru_.erase(it->second.lru);
-  slots_.erase(it);  // leaseholders keep the entry alive
+  // The caller releases the store's reference after unlocking;
+  // leaseholders keep the entry alive beyond that.
+  evicted.push_back(std::move(it->second.value));
+  slots_.erase(it);
 }
 
-void SnapshotStore::evict_locked(const std::string& tenant) {
+void SnapshotStore::evict_locked(const std::string& tenant, std::vector<EntryPtr>& evicted) {
   // Per-tenant quota first: the over-quota tenant pays with its own LRU
   // entries, never with another tenant's. Scanned back-to-front over the
   // shared recency list; the just-inserted front entry is exempt.
@@ -231,14 +244,14 @@ void SnapshotStore::evict_locked(const std::string& tenant) {
         }
       }
       if (victim == slots_.end()) break;  // only the fresh entry remains
-      drop_locked(victim);
+      drop_locked(victim, evicted);
     }
     publish_tenant_bytes_locked(tenant);
   }
   while (bytes_ > options_.byte_budget && lru_.size() > 1) {
     auto it = slots_.find(lru_.back());
     const std::string victim_tenant = it->second.value->tenant;
-    drop_locked(it);
+    drop_locked(it, evicted);
     publish_tenant_bytes_locked(victim_tenant);
   }
 }

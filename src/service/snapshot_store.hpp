@@ -12,10 +12,11 @@
 // what-if that differs only in its perturbations forks from the cached
 // base instead of cold-booting (DESIGN.md §7).
 //
-// Entries carry everything a query needs — the captured gnmi::Snapshot,
-// the live emulation (kept quiescent, fork()-able for further what-ifs),
-// the ForwardingGraph, and a shared thread-safe TraceCache so concurrent
-// requests on one snapshot amortize trace work across each other.
+// Entries carry everything a query needs — the live emulation (kept
+// quiescent, fork()-able for further what-ifs), the ForwardingGraph with
+// the captured gnmi::Snapshot it owns, and a shared thread-safe
+// TraceCache so concurrent requests on one snapshot amortize trace work
+// across each other.
 //
 // Retention is byte-budget LRU. Eviction only drops the store's
 // reference: in-flight requests hold shared_ptr leases, so an evicted
@@ -50,7 +51,6 @@
 #include "scenario/scenario.hpp"
 #include "util/status.hpp"
 #include "verify/forwarding_graph.hpp"
-#include "verify/incremental/incremental.hpp"
 #include "verify/trace_cache.hpp"
 
 namespace mfv::service {
@@ -99,27 +99,18 @@ struct StoredSnapshot {
   SnapshotKey key;
   /// Namespace the entry was built under (stamped by the store).
   std::string tenant;
-  gnmi::Snapshot snapshot;
   /// Quiescent post-convergence emulation; fork() source for what-ifs.
   std::unique_ptr<emu::Emulation> emulation;
+  /// Compiled dataplane; owns the captured snapshot (graph->snapshot()).
   std::unique_ptr<verify::ForwardingGraph> graph;
   /// Thread-safe; shared by every request that leases this entry.
   std::unique_ptr<verify::TraceCache> cache;
-  /// Base verify result in splice-ready form (verify/incremental), so
-  /// forks of this snapshot answer queries by verifying only the diff.
-  /// Captured for converged bases, not for forks (capturing a fork would
-  /// cost exactly the cold verify the splice is meant to avoid); read-only
-  /// after build, safe to share across concurrent requests.
-  std::unique_ptr<verify::IncrementalBase> verify_base;
-  /// Nearest ancestor carrying a verify_base (null for bases). Pins the
-  /// ancestor across store eviction, so an incremental query on a fork
-  /// never races the LRU.
-  std::shared_ptr<const StoredSnapshot> parent;
   /// Independent content fingerprint (stamped by the store from the
   /// get_or_build argument; 0 = unchecked). Distinguishes genuine content
   /// identity from a SnapshotKey collision on later hits.
   uint64_t content_check = 0;
-  /// Retention charge (snapshot JSON size unless the builder set it).
+  /// Retention charge (the graph's snapshot JSON size unless the builder
+  /// set it).
   size_t bytes = 0;
   /// Virtual convergence time and control-plane messages of the build.
   util::Duration convergence_time;
@@ -182,7 +173,8 @@ class SnapshotStore {
   };
 
   /// Produces a fully populated entry on miss (key/bytes are stamped by
-  /// the store). Runs outside the store lock; may take seconds.
+  /// the store). Runs outside the store lock, as does the charge; may
+  /// take seconds.
   using Builder = std::function<util::Result<std::unique_ptr<StoredSnapshot>>()>;
 
   explicit SnapshotStore(StoreOptions options = {});
@@ -221,14 +213,16 @@ class SnapshotStore {
   static std::string slot_id(const std::string& tenant, const SnapshotKey& key);
 
   /// Drops one entry by slot iterator: accounting, retired trace
-  /// counters, LRU and tenant bookkeeping (caller holds the lock).
-  void drop_locked(std::map<std::string, Slot>::iterator it);
+  /// counters, LRU and tenant bookkeeping (caller holds the lock). The
+  /// store's reference moves to `evicted`, for the caller to release
+  /// after unlocking.
+  void drop_locked(std::map<std::string, Slot>::iterator it, std::vector<EntryPtr>& evicted);
 
-  /// Drops least-recently-used entries until the global budget and every
-  /// tenant quota hold (caller holds the lock). Never drops the most
-  /// recent entry; tenant-quota pressure only evicts that tenant's own
-  /// entries.
-  void evict_locked(const std::string& tenant);
+  /// Drops least-recently-used entries into `evicted` until the global
+  /// budget and every tenant quota hold (caller holds the lock). Never
+  /// drops the most recent entry; tenant-quota pressure only evicts that
+  /// tenant's own entries.
+  void evict_locked(const std::string& tenant, std::vector<EntryPtr>& evicted);
 
   void publish_tenant_bytes_locked(const std::string& tenant);
 

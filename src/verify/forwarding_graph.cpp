@@ -35,7 +35,7 @@ void sort_unique(std::vector<std::pair<uint32_t, T>>& table, bool last_wins) {
 
 }  // namespace
 
-ForwardingGraph::ForwardingGraph(const gnmi::Snapshot& snapshot) : snapshot_(snapshot) {
+ForwardingGraph::ForwardingGraph(gnmi::Snapshot snapshot) : snapshot_(std::move(snapshot)) {
   names_.reserve(snapshot_.devices.size());
   for (const auto& [node, device] : snapshot_.devices) names_.push_back(node);
   compiled_.resize(names_.size());

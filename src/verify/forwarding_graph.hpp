@@ -54,7 +54,9 @@ class ForwardingGraph {
     std::span<const Hop> hops;
   };
 
-  explicit ForwardingGraph(const gnmi::Snapshot& snapshot);
+  /// Takes the snapshot it compiles: the graph is its one owner, so
+  /// callers move a fresh capture in and read it back via snapshot().
+  explicit ForwardingGraph(gnmi::Snapshot snapshot);
   // The compiled tables point into snapshot_.
   ForwardingGraph(const ForwardingGraph&) = delete;
   ForwardingGraph& operator=(const ForwardingGraph&) = delete;

@@ -323,36 +323,4 @@ FibDelta diff_fibs(const gnmi::Snapshot& base, const gnmi::Snapshot& candidate) 
   return delta;
 }
 
-std::vector<net::NodeName> close_dirty_nodes(
-    const FibDelta& delta, const ForwardingGraph& candidate,
-    const std::vector<PacketClass>& dirty_classes) {
-  using NodeId = ForwardingGraph::NodeId;
-  std::vector<uint8_t> closed(candidate.node_count(), 0);
-  std::vector<NodeId> frontier;
-  auto reach = [&](NodeId node) {
-    if (node == ForwardingGraph::kNoNode || closed[node]) return;
-    closed[node] = 1;
-    frontier.push_back(node);
-  };
-  for (const auto& [node, counts] : delta.nodes)
-    reach(candidate.id_of(node).value_or(ForwardingGraph::kNoNode));
-  while (!frontier.empty()) {
-    NodeId node = frontier.back();
-    frontier.pop_back();
-    for (const PacketClass& cls : dirty_classes) {
-      net::Ipv4Address representative = cls.representative();
-      const ForwardingGraph::Route* route = candidate.route(node, representative);
-      if (route == nullptr) continue;
-      for (const ForwardingGraph::Hop& hop : route->hops) {
-        if (hop.drop) continue;
-        reach(hop.addressed ? hop.next : candidate.owner(representative));
-      }
-    }
-  }
-  std::vector<net::NodeName> names;
-  for (NodeId node = 0; node < candidate.node_count(); ++node)
-    if (closed[node]) names.push_back(candidate.name(node));
-  return names;
-}
-
 }  // namespace mfv::verify

@@ -1,20 +1,23 @@
 // Incremental re-verification: verify the diff, not the world.
 //
 // A scenario fork (link cut, route withdraw, config replace) changes a
-// handful of FIB entries; cold verification nevertheless re-partitions the
-// packet space and re-traces every (source, class) flow. This subsystem
-// diffs the two compiled dataplanes (FibDelta), computes which destination
-// addresses the delta can possibly affect — per node, not just globally —
-// and splices at cell granularity: a clean class column comes straight out
-// of the base snapshot's captured disposition matrix, and even inside a
-// dirty column only the sources whose flows can meet a dirty node (the
-// backward closure of the per-class dirty node set over base∪candidate
-// forwarding) are re-traced; every other cell splices too
-// (DispositionSplicer, splicer.cpp). The splice is provably byte-identical
-// to cold re-verification (DESIGN.md §11); whenever the preconditions
-// fail — the delta is not expressible as a FIB diff, or the re-trace set
-// exceeds a configurable fraction — it falls back to the cold path and
-// says why.
+// handful of FIB entries; cold verification nevertheless re-traces every
+// (source, destination) pair. This subsystem answers one query, the
+// loopback-to-loopback pairwise matrix, by diffing the two compiled
+// dataplanes (FibDelta) and splicing at cell granularity: a destination
+// whose loopback the delta cannot affect comes straight out of the base's
+// captured pairwise answer, and even inside a dirty destination only the
+// sources whose flows can meet a dirty node (the backward closure of that
+// destination's dirty node set over base ∪ candidate forwarding) are
+// re-traced (splicer.cpp). The splice is provably byte-identical to cold
+// re-verification (DESIGN.md §11); whenever the preconditions fail — the
+// delta is not expressible as a FIB diff, or the re-trace set exceeds a
+// configurable fraction — it falls back to the cold path and says why.
+//
+// Only the scenario runner splices: its forks share one base and differ
+// from it by small deltas, so a splice there saves more tracing than the
+// diff costs. Every other caller verifies cold (DESIGN.md §11 has the
+// measurements behind that choice).
 #pragma once
 
 #include <cstdint>
@@ -29,37 +32,29 @@
 
 namespace mfv::verify {
 
-/// Cached reverse forwarding adjacency of the base graph, by node id,
-/// built lazily per base class the first time an incremental query's
-/// closure touches it (thread-safe: one once_flag per class) and shared
-/// read-only by every later query forking from the same base. Sound
-/// because base forwarding at a class representative is uniform over the
-/// containing base class — every FIB prefix and interface subnet/host
-/// range is a partition boundary. Definition is splicer.cpp-internal.
+/// Reverse forwarding adjacency of the base graph, by node id, built
+/// lazily per destination node at that node's loopback the first time a
+/// splice's closure needs it (thread-safe: one once_flag per destination)
+/// and shared read-only by every later query forking from the same base.
+/// Definition is splicer.cpp-internal.
 struct SpliceAdjacency;
 
-/// The base snapshot's verify result in splice-ready form: the full
-/// sources x classes disposition matrix (no row filter) plus the exact
-/// partition and scope it was computed under. Captured once per stored
-/// snapshot; shared read-only across every incremental query that forks
-/// from it (thread-safe by construction: immutable after capture).
+/// The base snapshot's pairwise answer in splice-ready form: reachability
+/// bits and loopbacks by node id. Captured once per scenario runner;
+/// shared read-only across every fork's pairwise query (thread-safe by
+/// construction: immutable after capture, the memo fills under
+/// once_flags).
 struct IncrementalBase {
-  /// Base forwarding graph; must outlive this struct (the snapshot store
-  /// keeps both in one entry).
+  /// Base forwarding graph; must outlive this struct.
   const ForwardingGraph* graph = nullptr;
-  /// Resolved source order of the capture (row order of `matrix`).
-  std::vector<net::NodeName> sources;
-  /// Source name -> row index, for splicing under a different source list.
-  std::map<net::NodeName, size_t> source_index;
-  std::optional<net::Ipv4Prefix> scope;
-  /// Base packet-class partition (column order of `matrix`).
-  std::vector<PacketClass> classes;
-  /// Row-major: matrix[s * classes.size() + c].
-  std::vector<DispositionSet> matrix;
-  /// Per-base-class reverse adjacency memo (see SpliceAdjacency), always
+  /// Loopback of each node, by node id (nullopt = no column).
+  std::vector<std::optional<net::Ipv4Address>> loopbacks;
+  /// Row-major node x node bits: reachable[s * node_count + d] is 1 when
+  /// node s reaches node d's loopback.
+  std::vector<uint8_t> reachable;
+  /// Per-destination reverse adjacency memo (see SpliceAdjacency), always
   /// allocated by capture_incremental_base. Mutable so closure() can fill
-  /// it behind a const base; the internal once_flags make concurrent
-  /// fills safe.
+  /// it behind a const base.
   mutable std::unique_ptr<SpliceAdjacency> adjacency;
 
   IncrementalBase();
@@ -67,39 +62,43 @@ struct IncrementalBase {
   ~IncrementalBase();
   IncrementalBase(const IncrementalBase&) = delete;
   IncrementalBase& operator=(const IncrementalBase&) = delete;
+
+  /// The captured answer as pairwise_reachability() returns it.
+  PairwiseResult pairwise() const;
 };
 
-/// Computes the full disposition matrix of `graph` under `options`
-/// (ignoring any row filter) for later splicing. Uses options.cache when
-/// set, so the capture doubles as a full cache warm-up.
+/// Computes the base's pairwise answer on `graph` for later splicing.
+/// Uses options.cache when set; records no shard latency (the capture is
+/// not a query).
 std::unique_ptr<IncrementalBase> capture_incremental_base(
     const ForwardingGraph& graph, const QueryOptions& options = {});
 
 /// What one incremental query did, for tests / metrics / bench reporting.
 struct IncrementalStats {
-  /// Candidate-side columns considered (packet classes for reachability,
-  /// destination devices for pairwise).
-  size_t classes = 0;
-  /// Columns intersecting the delta's dirty address ranges.
-  size_t dirty_classes = 0;
-  /// Cells (source x column) served verbatim from the base matrix —
-  /// every cell of a clean column, plus the closure-clean cells of dirty
-  /// columns.
+  /// Destination columns considered (every candidate node).
+  size_t destinations = 0;
+  /// Destinations whose loopback lies in the delta's dirty address ranges
+  /// or moved.
+  size_t dirty_destinations = 0;
+  /// Cells (source x destination) served verbatim from the base answer —
+  /// every cell of a clean destination, plus the closure-clean cells of
+  /// dirty ones.
   size_t spliced = 0;
   /// Cells re-traced on the candidate graph: spliced + retraced covers
-  /// every cell of the sweep.
+  /// every cell of the matrix.
   size_t retraced = 0;
   /// Devices whose forwarding the delta can affect for some dirty
-  /// column: the union of the per-column backward closures (plus every
-  /// node of columns re-traced whole). Reported for observability.
+  /// destination: the union of the per-destination backward closures (all
+  /// nodes once a destination re-traces whole). Reported for
+  /// observability.
   size_t dirty_nodes = 0;
   bool fell_back = false;
   /// Why the cold path ran instead ("acl-delta", "dirty-fraction", ...).
   std::string fallback_reason;
 
   void accumulate(const IncrementalStats& other) {
-    classes += other.classes;
-    dirty_classes += other.dirty_classes;
+    destinations += other.destinations;
+    dirty_destinations += other.dirty_destinations;
     spliced += other.spliced;
     retraced += other.retraced;
     dirty_nodes += other.dirty_nodes;
@@ -137,8 +136,8 @@ struct FibDelta {
   std::vector<std::pair<uint32_t, uint32_t>> dirty_ranges;
   /// The same intervals attributed to the node whose FIB or interface
   /// delta produced them; `dirty_ranges` is their union. A node absent
-  /// here (or whose ranges miss a class) forwards every address of that
-  /// class identically on both snapshots — the per-cell splice hinges on
+  /// here (or whose ranges miss an address) forwards that address
+  /// identically on both snapshots — the per-cell splice hinges on
   /// exactly this (DESIGN.md §11).
   std::map<net::NodeName, std::vector<std::pair<uint32_t, uint32_t>>> node_dirty_ranges;
 
@@ -162,22 +161,13 @@ struct FibDelta {
 /// without changing behaviour).
 FibDelta diff_fibs(const gnmi::Snapshot& base, const gnmi::Snapshot& candidate);
 
-/// Devices dirty traffic can transit: the nodes named by `delta` closed
-/// over candidate-graph forwarding for the dirty class representatives
-/// (rerouted traffic newly transiting an untouched node lands here).
-std::vector<net::NodeName> close_dirty_nodes(
-    const FibDelta& delta, const ForwardingGraph& candidate,
-    const std::vector<PacketClass>& dirty_classes);
-
-/// Incremental engines behind reachability() / pairwise_reachability():
-/// splice clean columns — and the closure-clean cells of dirty columns —
-/// from options.incremental's matrix, re-trace the rest, or fall back to
-/// the cold path (options with incremental cleared) when the
-/// preconditions fail. Results are byte-identical to the cold call either
-/// way. Stats are written to options.incremental_stats and mirrored into
+/// Incremental engine behind pairwise_reachability(): splice clean
+/// destinations — and the closure-clean cells of dirty ones — from
+/// options.incremental's answer, re-trace the rest, or fall back to the
+/// cold path (options with incremental cleared) when the preconditions
+/// fail. Results are byte-identical to the cold call either way. Stats
+/// are written to options.incremental_stats and mirrored into
 /// options.metrics (verify_incremental_* family).
-ReachabilityResult incremental_reachability(const ForwardingGraph& graph,
-                                            const QueryOptions& options);
 PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
                                     const QueryOptions& options);
 

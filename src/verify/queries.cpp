@@ -9,7 +9,6 @@
 namespace mfv::verify {
 
 ReachabilityResult reachability(const ForwardingGraph& graph, const QueryOptions& options) {
-  if (options.incremental != nullptr) return incremental_reachability(graph, options);
   std::vector<PacketClass> classes = sweep::classes_for(graph.relevant_prefixes(), options);
   std::vector<net::NodeName> sources = sweep::resolve_sources(graph, options);
   std::vector<DispositionSet> matrix = sweep::disposition_matrix(
@@ -158,29 +157,13 @@ std::optional<net::Ipv4Address> device_loopback(const gnmi::Snapshot& snapshot,
 PairwiseResult pairwise_reachability(const ForwardingGraph& graph,
                                      const QueryOptions& options) {
   if (options.incremental != nullptr) return incremental_pairwise(graph, options);
-  const std::vector<net::NodeName>& nodes = graph.nodes();
-
   // Shard by destination device: its loopback's trace table is computed
   // once (memoized) and shared by all sources.
-  const size_t node_count = nodes.size();
-  std::vector<std::optional<net::Ipv4Address>> loopbacks(node_count);
-  for (size_t d = 0; d < node_count; ++d)
-    loopbacks[d] = device_loopback(graph.snapshot(), nodes[d]);
-
-  sweep::CacheRef cache(options.cache, graph, options.metrics);
-  obs::Histogram* shard_latency = sweep::shard_latency_histogram(options);
-  std::vector<uint8_t> reachable(node_count * node_count, 0);
-  util::parallel_for_shards(sweep::resolve_threads(options), node_count, [&](size_t d) {
-    if (!loopbacks[d]) return;
-    sweep::timed_shard(shard_latency, [&] {
-      for (ForwardingGraph::NodeId s = 0; s < node_count; ++s) {
-        if (s == d) continue;
-        bool ok = (*cache).dispositions(s, *loopbacks[d]).contains(Disposition::kAccepted);
-        reachable[s * node_count + d] = ok ? 1 : 0;
-      }
-    });
-  });
-  return sweep::pairwise_cells(nodes, loopbacks, reachable);
+  std::vector<std::optional<net::Ipv4Address>> loopbacks = sweep::loopbacks(graph);
+  return sweep::pairwise_cells(
+      graph.nodes(), loopbacks,
+      sweep::pairwise_matrix(graph, loopbacks, options,
+                             sweep::shard_latency_histogram(options)));
 }
 
 }  // namespace mfv::verify

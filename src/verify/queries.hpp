@@ -55,13 +55,14 @@ struct QueryOptions {
   /// TraceCaches mirror their hit/miss counters into the registry.
   /// nullptr = no instrumentation (the hot loops pay one pointer test).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Base snapshot's captured verify result (verify/incremental). When
-  /// set, reachability() and pairwise_reachability() diff this graph
-  /// against the base, re-trace only the (source, class) cells the delta
-  /// can actually affect and splice the rest from the base matrix —
+  /// Base snapshot's captured pairwise answer (verify/incremental). When
+  /// set, pairwise_reachability() diffs this graph against the base,
+  /// re-traces only the (source, destination) cells the delta can
+  /// actually affect and splices the rest from the base answer —
   /// byte-identical to the cold sweep, falling back to it whenever the
-  /// delta is not expressible as a FIB diff. Must outlive the call (the
-  /// snapshot store keeps it alive alongside the base entry).
+  /// delta is not expressible as a FIB diff. Every other query ignores
+  /// it. Must outlive the call (the scenario runner keeps it alive for
+  /// its sweeps).
   const IncrementalBase* incremental = nullptr;
   /// Fall back to cold re-verification once re-traced cells exceed this
   /// fraction of all cells (splicing would no longer pay for the diff).

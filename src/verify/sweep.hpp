@@ -1,10 +1,11 @@
 // Shared plumbing of the verify sweeps (internal to src/verify).
 //
 // The cold queries (queries.cpp) and the incremental splicer
-// (incremental/splicer.cpp) resolve sources, packet classes, worker
-// threads and memoization through these helpers, fill full disposition
-// matrices through one routine and emit rows and cells through one pair
-// of functions, so a spliced answer cannot drift from the cold one.
+// (incremental/splicer.cpp) resolve sources, packet classes, loopbacks,
+// worker threads and memoization through these helpers, fill disposition
+// and pairwise matrices through one routine each and emit rows and cells
+// through one pair of functions, so a spliced answer cannot drift from
+// the cold one.
 // Every sweep runs the memoized TraceCache engine; the thread count only
 // decides how many class shards run at once.
 #pragma once
@@ -113,6 +114,39 @@ inline std::vector<DispositionSet> disposition_matrix(
     });
   });
   return matrix;
+}
+
+/// Each node's loopback (device_loopback), by node id.
+inline std::vector<std::optional<net::Ipv4Address>> loopbacks(const ForwardingGraph& graph) {
+  std::vector<std::optional<net::Ipv4Address>> out;
+  out.reserve(graph.node_count());
+  for (const net::NodeName& node : graph.nodes())
+    out.push_back(device_loopback(graph.snapshot(), node));
+  return out;
+}
+
+/// Row-major node x node reachability bits of `graph`, one shard per
+/// destination with a loopback: its memoized trace table is computed
+/// once and serves every source. Shards are timed into `shard_latency`
+/// when set.
+inline std::vector<uint8_t> pairwise_matrix(
+    const ForwardingGraph& graph,
+    const std::vector<std::optional<net::Ipv4Address>>& loopbacks,
+    const QueryOptions& options, obs::Histogram* shard_latency) {
+  const size_t node_count = graph.node_count();
+  CacheRef cache(options.cache, graph, options.metrics);
+  std::vector<uint8_t> reachable(node_count * node_count, 0);
+  util::parallel_for_shards(resolve_threads(options), node_count, [&](size_t d) {
+    if (!loopbacks[d]) return;
+    timed_shard(shard_latency, [&] {
+      for (ForwardingGraph::NodeId s = 0; s < node_count; ++s) {
+        if (s == d) continue;
+        bool ok = (*cache).dispositions(s, *loopbacks[d]).contains(Disposition::kAccepted);
+        reachable[s * node_count + d] = ok ? 1 : 0;
+      }
+    });
+  });
+  return reachable;
 }
 
 /// Source-major rows of a sources x classes matrix that pass the row

@@ -334,9 +334,10 @@ TEST(TenantIsolation, SaturatingTenantDoesNotStarveTheOther) {
   options.broker.queue_capacity = 4096;
   Harness harness("isolation", options);
 
-  auto build_for = [&](Client& client, const std::string& tenant) {
+  auto build_for = [&](Client& client, const std::string& tenant,
+                       const emu::Topology& topology) {
     Request upload = make_request(1, "upload_configs", tenant);
-    upload.params["topology"] = test_topology().to_json();
+    upload.params["topology"] = topology.to_json();
     auto uploaded = client.call(upload);
     EXPECT_TRUE(uploaded.ok() && uploaded->ok());
     const std::string submission = uploaded->result.find("submission")->as_string();
@@ -347,8 +348,14 @@ TEST(TenantIsolation, SaturatingTenantDoesNotStarveTheOther) {
   };
   Client client_a = harness.connect();
   Client client_b = harness.connect();
-  const std::string snapshot_a = build_for(client_a, "a");
-  const std::string snapshot_b = build_for(client_b, "b");
+  // a's network is wide enough that each of its queries outlasts a wire
+  // round trip many times over, so the counts below measure scheduling,
+  // not socket latency; b's stays small.
+  workload::WanOptions wide;
+  wide.routers = 24;
+  wide.seed = 7;
+  const std::string snapshot_a = build_for(client_a, "a", workload::wan_topology(wide));
+  const std::string snapshot_b = build_for(client_b, "b", test_topology());
 
   auto b_query = [&](uint64_t id) {
     Request request = make_request(id, "query", "b");
@@ -356,22 +363,14 @@ TEST(TenantIsolation, SaturatingTenantDoesNotStarveTheOther) {
     request.params["kind"] = "reachability";
     return request;
   };
-  auto p95_ms = [](std::vector<double> samples) {
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() - 1 - samples.size() / 20];
-  };
+  auto a_completed = [&] { return harness.service.broker_stats().tenants["a"].completed; };
 
-  // Unloaded baseline for tenant b.
+  // Unloaded warm-up: b's trace cache is warm before the contest, so its
+  // queries then cost what a's memoized ones do.
   constexpr int kBQueries = 12;
-  std::vector<double> unloaded;
   for (int i = 0; i < kBQueries; ++i) {
-    auto start = std::chrono::steady_clock::now();
     auto response = client_b.call(b_query(100 + static_cast<uint64_t>(i)));
     ASSERT_TRUE(response.ok() && response->ok());
-    unloaded.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  start)
-            .count());
   }
 
   // Tenant a parks a pipelined backlog; b keeps querying during the drain.
@@ -380,35 +379,34 @@ TEST(TenantIsolation, SaturatingTenantDoesNotStarveTheOther) {
     Request request = make_request(1000 + static_cast<uint64_t>(i), "query", "a");
     request.params["snapshot"] = snapshot_a;
     request.params["kind"] = "reachability";
+    request.params["full"] = true;
     ASSERT_TRUE(client_a.send(request).ok());
   }
   std::thread a_receiver([&] {
     for (int i = 0; i < kBacklog; ++i) ASSERT_TRUE(client_a.receive().ok());
   });
 
-  std::vector<double> loaded;
+  // The isolation claims, on broker counts rather than wall time: b is
+  // never rejected (its queue is nowhere near any cap), and each of b's
+  // queries overtakes a's backlog. DRR hands b the next free worker, so
+  // while one b query is in flight a completes only what its workers
+  // finish meanwhile — a few per worker, even on a loaded host. A shared
+  // FIFO queue would make the first b query wait out most of the
+  // backlog.
+  const uint64_t a_completions_bound = 8 * options.broker.threads;
   int b_rejected = 0;
   for (int i = 0; i < kBQueries; ++i) {
-    auto start = std::chrono::steady_clock::now();
+    const uint64_t a_before = a_completed();
     auto response = client_b.call(b_query(2000 + static_cast<uint64_t>(i)));
+    const uint64_t a_during = a_completed() - a_before;
     ASSERT_TRUE(response.ok());
     if (!response->ok()) ++b_rejected;
-    loaded.push_back(
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  start)
-            .count());
+    EXPECT_LT(a_during, a_completions_bound) << "tenant a completed " << a_during
+                                             << " requests while b query " << i
+                                             << " was in flight";
   }
   a_receiver.join();
-
-  // The isolation claims: b is never rejected (its queue is nowhere near
-  // any cap), and DRR keeps its p95 close to the unloaded baseline — not
-  // behind a's backlog. The absolute slack absorbs scheduler noise on
-  // loaded CI runners; the FIFO failure mode is an order of magnitude
-  // beyond it.
   EXPECT_EQ(b_rejected, 0);
-  EXPECT_LT(p95_ms(loaded), 2.0 * p95_ms(unloaded) + 50.0)
-      << "unloaded p95 " << p95_ms(unloaded) << "ms, loaded p95 " << p95_ms(loaded)
-      << "ms";
 
   BrokerStats broker_stats = harness.service.broker_stats();
   EXPECT_EQ(broker_stats.tenants.at("b").rejected, 0u);

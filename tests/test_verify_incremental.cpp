@@ -1,9 +1,10 @@
-// Incremental re-verification (DESIGN.md §11): the splicing engine must
-// be byte-identical to cold verification for every perturbation kind, on
-// the curated fig-2 network and on a 200-router WAN; it must actually
-// splice (not silently fall back) when the delta is small; and it must
-// fall back — still byte-identically — when told the dirty set is too
-// large or when the delta is not expressible as a FIB diff.
+// Incremental re-verification (DESIGN.md §11): the pairwise splicing
+// engine must be byte-identical to cold verification for every
+// perturbation kind, on the curated fig-2 network and on a 200-router
+// WAN; it must actually splice (not silently fall back) when the delta is
+// small; and it must fall back — still byte-identically — when told the
+// dirty set is too large or when the delta is not expressible as a FIB
+// diff.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -36,17 +37,6 @@ QueryOptions test_options() {
   return options;
 }
 
-/// Every byte of a ReachabilityResult, including the counters.
-std::string render(const ReachabilityResult& result) {
-  std::string out;
-  for (const ReachabilityRow& row : result.rows)
-    out += row.source + "|" + row.destination.to_string() + "|" +
-           row.dispositions.to_string() + "\n";
-  out += std::to_string(result.classes) + " classes, " +
-         std::to_string(result.flows) + " flows";
-  return out;
-}
-
 std::string render(const PairwiseResult& result) {
   std::string out;
   for (const PairwiseCell& cell : result.cells)
@@ -58,19 +48,19 @@ std::string render(const PairwiseResult& result) {
 }
 
 /// Boots `topology`, captures its IncrementalBase, forks + applies
-/// `perturbations` + re-converges, then checks the incremental engine
-/// against the cold one byte for byte (reachability rows and pairwise
-/// cells). Stats of the reachability call land in *stats_out.
+/// `perturbations` + re-converges, then checks the incremental pairwise
+/// engine against the cold one byte for byte. Stats land in *stats_out.
 void expect_incremental_matches_cold(
     const emu::Topology& topology,
     const std::vector<scenario::Perturbation>& perturbations,
     double max_dirty_fraction = 1.0, IncrementalStats* stats_out = nullptr) {
   std::unique_ptr<emu::Emulation> base = boot(topology);
-  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
-  ForwardingGraph base_graph(base_snapshot);
+  ForwardingGraph base_graph(gnmi::Snapshot::capture(*base, "base"));
   QueryOptions options = test_options();
   std::unique_ptr<IncrementalBase> verify_base =
       capture_incremental_base(base_graph, options);
+  EXPECT_EQ(render(verify_base->pairwise()),
+            render(pairwise_reachability(base_graph, options)));
 
   std::unique_ptr<emu::Emulation> fork = base->fork();
   ASSERT_NE(fork, nullptr);
@@ -78,26 +68,19 @@ void expect_incremental_matches_cold(
     ASSERT_TRUE(scenario::ScenarioRunner::apply(*fork, perturbation))
         << scenario::perturbation_to_string(perturbation);
   ASSERT_TRUE(fork->run_to_convergence());
-  gnmi::Snapshot candidate_snapshot = gnmi::Snapshot::capture(*fork, "candidate");
-  ForwardingGraph candidate(candidate_snapshot);
+  ForwardingGraph candidate(gnmi::Snapshot::capture(*fork, "candidate"));
 
   QueryOptions incremental = options;
   incremental.incremental = verify_base.get();
   incremental.incremental_max_dirty_fraction = max_dirty_fraction;
-  IncrementalStats reach_stats;
-  incremental.incremental_stats = &reach_stats;
+  IncrementalStats stats;
+  incremental.incremental_stats = &stats;
 
-  ReachabilityResult cold = reachability(candidate, options);
-  ReachabilityResult spliced = reachability(candidate, incremental);
+  PairwiseResult cold = pairwise_reachability(candidate, options);
+  PairwiseResult spliced = pairwise_reachability(candidate, incremental);
   EXPECT_EQ(render(cold), render(spliced));
 
-  IncrementalStats pairwise_stats;
-  incremental.incremental_stats = &pairwise_stats;
-  PairwiseResult cold_pairwise = pairwise_reachability(candidate, options);
-  PairwiseResult spliced_pairwise = pairwise_reachability(candidate, incremental);
-  EXPECT_EQ(render(cold_pairwise), render(spliced_pairwise));
-
-  if (stats_out != nullptr) *stats_out = reach_stats;
+  if (stats_out != nullptr) *stats_out = stats;
 }
 
 emu::Topology ring_wan(int routers, uint64_t seed) {
@@ -217,8 +200,8 @@ TEST(VerifyIncremental, AclDeltaFallsBack) {
   incremental.incremental = verify_base.get();
   IncrementalStats stats;
   incremental.incremental_stats = &stats;
-  EXPECT_EQ(render(reachability(candidate, options)),
-            render(reachability(candidate, incremental)));
+  EXPECT_EQ(render(pairwise_reachability(candidate, options)),
+            render(pairwise_reachability(candidate, incremental)));
   EXPECT_TRUE(stats.fell_back);
   EXPECT_EQ(stats.fallback_reason, "acl-delta");
 }
@@ -276,40 +259,22 @@ TEST(FibDelta, LinkCutDirtiesOnlyAffectedRanges) {
 
 TEST(VerifyIncremental, RingCutReroutesThroughUntouchedNodesAndStillSplices) {
   // Cutting one ring link reroutes traffic the long way around — through
-  // routers whose own FIBs (mostly) did not change. The dirty-node
+  // routers whose own FIBs (mostly) did not change. The per-destination
   // closure must pick up those transit nodes, and the splice must still
-  // engage for the untouched address space.
+  // engage for the untouched cells.
   emu::Topology topology = ring_wan(12, 3);
-  std::unique_ptr<emu::Emulation> base = boot(topology);
-  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
-  std::unique_ptr<emu::Emulation> fork = base->fork();
-  ASSERT_NE(fork, nullptr);
-  ASSERT_TRUE(fork->set_link_up(topology.links[0].a, topology.links[0].b, false));
-  ASSERT_TRUE(fork->run_to_convergence());
-  gnmi::Snapshot candidate_snapshot = gnmi::Snapshot::capture(*fork, "cut");
-  ForwardingGraph candidate(candidate_snapshot);
-
-  FibDelta delta = diff_fibs(base_snapshot, candidate_snapshot);
-  ASSERT_TRUE(delta.expressible) << delta.fallback_reason;
-
-  // Closure over candidate forwarding: rerouted dirty traffic transits
-  // nodes beyond the delta's own FIB-changed set.
-  std::vector<PacketClass> dirty_classes;
-  for (const auto& [lo, hi] : delta.dirty_ranges)
-    dirty_classes.push_back({net::Ipv4Address(lo), net::Ipv4Address(hi)});
-  std::vector<net::NodeName> closed =
-      close_dirty_nodes(delta, candidate, dirty_classes);
-  EXPECT_GE(closed.size(), delta.nodes.size());
-
-  // End to end: byte-identical, with real splice hits and no fallback.
   IncrementalStats stats;
   expect_incremental_matches_cold(
       topology, {scenario::LinkCut{topology.links[0].a, topology.links[0].b}},
       /*max_dirty_fraction=*/1.0, &stats);
   EXPECT_FALSE(stats.fell_back) << stats.fallback_reason;
   EXPECT_GT(stats.spliced, 0u);
-  // spliced + retraced account for every cell of the sweep.
-  EXPECT_EQ(stats.spliced + stats.retraced, stats.classes * topology.nodes.size());
+  EXPECT_GT(stats.dirty_destinations, 0u);
+  // spliced + retraced account for every off-diagonal cell (every router
+  // has a loopback).
+  const size_t nodes = topology.nodes.size();
+  EXPECT_EQ(stats.destinations, nodes);
+  EXPECT_EQ(stats.spliced + stats.retraced, nodes * (nodes - 1));
   EXPECT_GT(stats.dirty_nodes, 0u);
 }
 
@@ -320,28 +285,23 @@ TEST(VerifyIncremental, ThreadedScenarioSweepMatchesNonIncremental) {
   std::unique_ptr<emu::Emulation> base = boot(topology);
   std::vector<scenario::Scenario> scenarios = scenario::single_link_cuts(topology);
 
-  scenario::ScenarioRunnerOptions cold_options;
-  cold_options.threads = 4;
-  cold_options.keep_snapshots = false;
-  scenario::ScenarioRunner cold_runner(*base, cold_options);
-  auto cold = cold_runner.run(scenarios);
-  ASSERT_TRUE(cold.ok());
-
-  scenario::ScenarioRunnerOptions incremental_options = cold_options;
-  incremental_options.incremental = true;
-  scenario::ScenarioRunner incremental_runner(*base, incremental_options);
-  auto spliced = incremental_runner.run(scenarios);
+  scenario::ScenarioRunnerOptions options;
+  options.threads = 4;
+  scenario::ScenarioRunner runner(*base, options);
+  EXPECT_EQ(render(runner.base_pairwise()),
+            render(pairwise_reachability(ForwardingGraph(runner.base_snapshot()))));
+  auto spliced = runner.run(scenarios);
   ASSERT_TRUE(spliced.ok());
+  ASSERT_EQ(spliced->size(), scenarios.size());
 
-  ASSERT_EQ(cold->size(), spliced->size());
+  // Every scenario's spliced matrix equals a cold sweep of its snapshot.
   size_t total_spliced = 0;
-  for (size_t i = 0; i < cold->size(); ++i) {
-    EXPECT_EQ(render((*cold)[i].pairwise), render((*spliced)[i].pairwise))
-        << (*cold)[i].name;
-    EXPECT_EQ((*cold)[i].broken_pairs, (*spliced)[i].broken_pairs);
-    EXPECT_FALSE((*spliced)[i].incremental.fell_back)
-        << (*spliced)[i].name << ": " << (*spliced)[i].incremental.fallback_reason;
-    total_spliced += (*spliced)[i].incremental.spliced;
+  for (const scenario::ScenarioResult& result : *spliced) {
+    ForwardingGraph graph(result.snapshot);
+    EXPECT_EQ(render(pairwise_reachability(graph)), render(result.pairwise)) << result.name;
+    EXPECT_FALSE(result.incremental.fell_back)
+        << result.name << ": " << result.incremental.fallback_reason;
+    total_spliced += result.incremental.spliced;
   }
   EXPECT_GT(total_spliced, 0u) << "the sweep never actually spliced";
 }
