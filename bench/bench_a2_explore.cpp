@@ -39,8 +39,10 @@ config::DeviceConfig advertiser(const std::string& name, int index, net::AsNumbe
   neighbor.peer = *net::Ipv4Address::parse(peer_address);
   neighbor.remote_as = 65000;
   config.bgp.neighbors.push_back(neighbor);
-  config.static_routes.push_back(
-      {*net::Ipv4Prefix::parse("203.0.113.0/24"), std::nullopt, std::nullopt, true, 1});
+  config::StaticRoute discard;
+  discard.prefix = *net::Ipv4Prefix::parse("203.0.113.0/24");
+  discard.null_route = true;
+  config.static_routes.push_back(discard);
   config.bgp.networks.push_back({*net::Ipv4Prefix::parse("203.0.113.0/24"), std::nullopt});
   return config;
 }

@@ -144,8 +144,8 @@ class Aft {
 
   /// O(1) equality witness: true when both sides still share the same
   /// copy-on-write storage block. False only means "unknown" — a fork
-  /// that rewrote identical contents no longer shares. diff_fibs uses
-  /// this to skip whole devices a fork never recompiled.
+  /// that rewrote identical contents no longer shares. Tests use it to
+  /// check that a patch which changed nothing left the table shared.
   bool shares_tables(const Aft& other) const { return &*tables_ == &*other.tables_; }
 
   /// Structural equality of *forwarding behaviour*: same prefixes mapping

@@ -22,6 +22,7 @@ util::Status Session::init_snapshot(const emu::Topology& topology, const std::st
 
   Entry entry;
   entry.info.backend = backend;
+  gnmi::Snapshot snapshot;
 
   if (backend == Backend::kModelFree) {
     auto emulation = std::make_unique<emu::Emulation>(options_.emulation);
@@ -35,18 +36,17 @@ util::Status Session::init_snapshot(const emu::Topology& topology, const std::st
         emulation->converged_at() - util::TimePoint(0);
     entry.info.messages = emulation->messages_delivered();
     entry.info.diagnostics = emulation->parse_diagnostics();
-    entry.snapshot = gnmi::Snapshot::capture(*emulation, name);
+    snapshot = gnmi::Snapshot::capture(*emulation, name);
     entry.emulation = std::move(emulation);
   } else {
     model::ModelResult result = model::run_model(topology, options_.model);
-    entry.snapshot = std::move(result.snapshot);
-    entry.snapshot.name = name;
+    snapshot = std::move(result.snapshot);
     entry.info.unrecognized_lines = result.total_unrecognized();
     for (const auto& [node, parse] : result.parse_results)
       entry.info.diagnostics[node] = parse.diagnostics;
   }
 
-  snapshots_.emplace(name, std::move(entry));
+  insert(name, std::move(snapshot), std::move(entry));
   return util::Status::ok_status();
 }
 
@@ -77,9 +77,9 @@ util::Status Session::fork_snapshot(const std::string& base, const std::string& 
   entry.info.convergence_time = fork->kernel().now() - forked_at;
   entry.info.messages = fork->messages_delivered();
   entry.info.diagnostics = fork->parse_diagnostics();
-  entry.snapshot = gnmi::Snapshot::capture(*fork, name);
+  gnmi::Snapshot snapshot = gnmi::Snapshot::capture(*fork, name);
   entry.emulation = std::move(fork);
-  snapshots_.emplace(name, std::move(entry));
+  insert(name, std::move(snapshot), std::move(entry));
   return util::Status::ok_status();
 }
 
@@ -88,11 +88,16 @@ util::Status Session::add_snapshot(gnmi::Snapshot snapshot, const std::string& n
   if (snapshots_.count(name))
     return util::already_exists("snapshot '" + name + "' already exists");
   Entry entry;
-  entry.snapshot = std::move(snapshot);
-  entry.snapshot.name = name;
   entry.info = std::move(info);
-  snapshots_.emplace(name, std::move(entry));
+  insert(name, std::move(snapshot), std::move(entry));
   return util::Status::ok_status();
+}
+
+void Session::insert(const std::string& name, gnmi::Snapshot snapshot, Entry entry) {
+  snapshot.name = name;
+  entry.graph = std::make_unique<verify::ForwardingGraph>(std::move(snapshot));
+  entry.cache = std::make_unique<verify::TraceCache>(*entry.graph);
+  snapshots_.emplace(name, std::move(entry));
 }
 
 bool Session::has_snapshot(const std::string& name) const {
@@ -106,7 +111,7 @@ const Session::Entry* Session::find(const std::string& name) const {
 
 const gnmi::Snapshot* Session::snapshot(const std::string& name) const {
   const Entry* entry = find(name);
-  return entry == nullptr ? nullptr : &entry->snapshot;
+  return entry == nullptr ? nullptr : &entry->graph->snapshot();
 }
 
 const SnapshotInfo* Session::info(const std::string& name) const {
@@ -126,20 +131,13 @@ emu::Emulation* Session::emulation(const std::string& name) {
 }
 
 const verify::ForwardingGraph* Session::graph_for(const std::string& name) const {
-  auto it = snapshots_.find(name);
-  if (it == snapshots_.end()) return nullptr;
-  // Lazy build; Entry is logically const from the caller's view.
-  Entry& entry = const_cast<Entry&>(it->second);
-  if (!entry.graph) {
-    entry.graph = std::make_unique<verify::ForwardingGraph>(entry.snapshot);
-    entry.cache = std::make_unique<verify::TraceCache>(*entry.graph);
-  }
-  return entry.graph.get();
+  const Entry* entry = find(name);
+  return entry == nullptr ? nullptr : entry->graph.get();
 }
 
 verify::TraceCache* Session::cache_for(const std::string& name) const {
-  if (graph_for(name) == nullptr) return nullptr;
-  return snapshots_.find(name)->second.cache.get();
+  const Entry* entry = find(name);
+  return entry == nullptr ? nullptr : entry->cache.get();
 }
 
 verify::QueryOptions Session::with_session_caches(const verify::QueryOptions& options,

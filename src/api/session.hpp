@@ -108,18 +108,22 @@ class Session {
                                                      const net::NodeName& node = "") const;
 
  private:
+  /// One named snapshot. The graph owns the snapshot (snapshot() reads it
+  /// back), and graph and cache are built when the snapshot is added, so
+  /// const queries only read the entry and may run concurrently.
   struct Entry {
-    gnmi::Snapshot snapshot;
     SnapshotInfo info;
     std::unique_ptr<emu::Emulation> emulation;           // model-free only
-    std::unique_ptr<verify::ForwardingGraph> graph;      // built lazily
+    std::unique_ptr<verify::ForwardingGraph> graph;
     /// Long-lived memoization shared by every query on this snapshot (the
     /// cached engine solves each destination class once per *session*, not
-    /// once per query). Built with the graph; plugged into QueryOptions
-    /// whenever the caller did not bring their own cache.
+    /// once per query). Plugged into QueryOptions whenever the caller did
+    /// not bring their own cache.
     std::unique_ptr<verify::TraceCache> cache;
   };
 
+  /// Compiles `snapshot` (renamed to `name`) into `entry` and registers it.
+  void insert(const std::string& name, gnmi::Snapshot snapshot, Entry entry);
   const Entry* find(const std::string& name) const;
   const verify::ForwardingGraph* graph_for(const std::string& name) const;
   /// The session-owned cache for a snapshot (nullptr if unknown).

@@ -239,9 +239,9 @@ std::optional<uint32_t> parse_oracle(std::string_view name) {
 
 uint32_t FuzzCase::oracles() const {
   uint32_t mask = 0;
-  if (!snapshot.devices.empty() || !topology.nodes.empty()) mask |= kOracleEngines;
+  if (!snapshot.devices.empty()) mask |= kOracleEngines | kOracleIncremental;
   if (!topology.nodes.empty())
-    mask |= kOracleFork | kOracleStore | kOracleDialect | kOracleSharded |
+    mask |= kOracleEngines | kOracleFork | kOracleStore | kOracleDialect | kOracleSharded |
             kOracleIncremental | kOracleExplore | kOracleFib;
   if (!literals.empty()) mask |= kOracleDialect;
   return mask;

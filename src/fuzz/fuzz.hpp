@@ -62,10 +62,13 @@ enum Oracle : uint32_t {
   /// with EmulationOptions::shards > 1 must produce byte-identical
   /// snapshot JSON and identical message/event/clock counters.
   kOracleSharded = 1u << 4,
-  /// Incremental re-verification vs cold: after fork + perturb +
-  /// re-converge, the splicing engine (verify/incremental, seeded with
-  /// the base's captured pairwise answer) must reproduce the cold
-  /// pairwise cells byte for byte.
+  /// Incremental re-verification vs cold: the splicing engine
+  /// (verify/incremental, seeded with the base's captured pairwise answer)
+  /// must reproduce the cold pairwise cells byte for byte. WAN cases
+  /// splice the fork after perturb + re-converge; synthetic cases splice
+  /// each single edit of the snapshot (interface state, packet filters,
+  /// FIB and label entries, addresses), enumerated from the snapshot
+  /// itself.
   kOracleIncremental = 1u << 5,
   /// Exhaustive exploration soundness (src/explore): jitter-sampled
   /// converged states of the case's topology must canonicalize into the

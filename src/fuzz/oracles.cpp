@@ -1,6 +1,8 @@
 #include "fuzz/oracles.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 
@@ -423,7 +425,130 @@ std::string render_cells(const verify::PairwiseResult& result) {
   return out;
 }
 
+/// Why splicing `candidate` from `base` differs from verifying it cold, or
+/// "" when the answers match. Never falls back on size: a huge dirty set
+/// must still splice correctly (the fallback path is trivially identical —
+/// it *is* the cold path).
+std::string splice_mismatch(const verify::IncrementalBase& base,
+                            const verify::ForwardingGraph& candidate,
+                            const verify::QueryOptions& options) {
+  verify::IncrementalStats stats;
+  verify::QueryOptions incremental = options;
+  incremental.incremental = &base;
+  incremental.incremental_max_dirty_fraction = 1.0;
+  incremental.incremental_stats = &stats;
+  std::string cold_cells = render_cells(verify::pairwise_reachability(candidate, options));
+  std::string spliced_cells =
+      render_cells(verify::pairwise_reachability(candidate, incremental));
+  if (cold_cells == spliced_cells) return "";
+  return "spliced=" + std::to_string(stats.spliced) +
+         " retraced=" + std::to_string(stats.retraced) +
+         (stats.fell_back ? " fallback=" + stats.fallback_reason : "");
+}
+
+/// Toggles a synthetic edit's packet filter: removes `acl`, or attaches
+/// one that denies the loopbacks under `denied` (inside the synthetic
+/// 10.255.0.0/16 block) and permits everything else.
+void toggle_filter(std::optional<std::vector<aft::AclRule>>& acl, const char* denied) {
+  if (acl)
+    acl.reset();
+  else
+    acl = std::vector<aft::AclRule>{{false, *net::Ipv4Prefix::parse(denied)},
+                                    {true, net::Ipv4Prefix()}};
+}
+
+/// One edit of a synthetic snapshot, named for the failure message.
+struct SnapshotEdit {
+  std::string name;
+  std::function<void(gnmi::Snapshot&)> apply;
+};
+
+/// The single-step edits the synthetic incremental oracle splices, read
+/// off the snapshot itself so a case replays from its JSON alone: per
+/// interface, flip oper_up and toggle a loopback-denying acl_in and
+/// acl_out; per device, erase its first IPv4 entry, point its last at
+/// another group, erase its first label entry, and take the next device's
+/// Ethernet0 address.
+std::vector<SnapshotEdit> snapshot_edits(const gnmi::Snapshot& snapshot) {
+  std::vector<SnapshotEdit> edits;
+  auto add = [&](std::string name, std::function<void(gnmi::Snapshot&)> apply) {
+    edits.push_back({std::move(name), std::move(apply)});
+  };
+  for (auto it = snapshot.devices.begin(); it != snapshot.devices.end(); ++it) {
+    const net::NodeName& node = it->first;
+    for (const auto& [name, state] : it->second.interfaces) {
+      auto at = [node, name](gnmi::Snapshot& s) -> aft::InterfaceState& {
+        return s.devices.at(node).interfaces.at(name);
+      };
+      const std::string where = node + "/" + name;
+      add(where + " flip oper_up", [at](gnmi::Snapshot& s) { at(s).oper_up = !at(s).oper_up; });
+      add(where + " toggle acl_in",
+          [at](gnmi::Snapshot& s) { toggle_filter(at(s).acl_in, "10.255.0.0/30"); });
+      add(where + " toggle acl_out",
+          [at](gnmi::Snapshot& s) { toggle_filter(at(s).acl_out, "10.255.0.2/31"); });
+    }
+
+    const aft::Aft& aft = it->second.aft;
+    auto table = [node](gnmi::Snapshot& s) -> aft::Aft& { return s.devices.at(node).aft; };
+    if (!aft.ipv4_entries().empty()) {
+      net::Ipv4Prefix first = aft.ipv4_entries().begin()->first;
+      add(node + " erase first ipv4 entry", [table, first](gnmi::Snapshot& s) {
+        aft::Aft& a = table(s);
+        a.patch({first}, {}, a.next_hops(), a.groups(), a.label_entries());
+      });
+      aft::Ipv4Entry last = aft.ipv4_entries().rbegin()->second;
+      for (const auto& [group, members] : aft.groups()) {
+        if (group == last.next_hop_group) continue;
+        last.next_hop_group = group;
+        add(node + " repoint last ipv4 entry",
+            [table, last](gnmi::Snapshot& s) { table(s).set_ipv4_entry(last); });
+        break;
+      }
+    }
+    if (!aft.label_entries().empty()) {
+      add(node + " erase first label entry", [table](gnmi::Snapshot& s) {
+        aft::Aft& a = table(s);
+        std::map<uint32_t, aft::LabelEntry> labels = a.label_entries();
+        labels.erase(labels.begin());
+        a.patch({}, {}, a.next_hops(), a.groups(), std::move(labels));
+      });
+    }
+
+    auto next = std::next(it) == snapshot.devices.end() ? snapshot.devices.begin() : std::next(it);
+    auto from = next->second.interfaces.find("Ethernet0");
+    if (it->second.interfaces.count("Ethernet0") > 0 && from != next->second.interfaces.end()) {
+      std::optional<net::InterfaceAddress> address = from->second.address;
+      add(node + " takes " + next->first + "'s Ethernet0 address",
+          [node, address](gnmi::Snapshot& s) {
+            s.devices.at(node).interfaces.at("Ethernet0").address = address;
+          });
+    }
+  }
+  return edits;
+}
+
+/// Synthetic mode: splice each single edit of the case's snapshot against
+/// the snapshot itself.
+Verdict check_incremental_synthetic(const FuzzCase& c) {
+  verify::ForwardingGraph base_graph(c.snapshot);
+  verify::QueryOptions options;
+  options.threads = 4;
+  std::unique_ptr<verify::IncrementalBase> verify_base =
+      verify::capture_incremental_base(base_graph, options);
+  for (const SnapshotEdit& edit : snapshot_edits(c.snapshot)) {
+    gnmi::Snapshot edited = c.snapshot;
+    edit.apply(edited);
+    verify::ForwardingGraph candidate(std::move(edited));
+    if (std::string mismatch = splice_mismatch(*verify_base, candidate, options);
+        !mismatch.empty())
+      return fail(kOracleIncremental, "incremental pairwise diverged from cold after edit '" +
+                                          edit.name + "' (" + mismatch + ")");
+  }
+  return pass(kOracleIncremental);
+}
+
 Verdict check_incremental(const FuzzCase& c) {
+  if (c.mode == Mode::kSynthetic) return check_incremental_synthetic(c);
   emu::Emulation base;
   if (!base.add_topology(c.topology).ok())
     return pass(kOracleIncremental, "skipped: topology rejected");
@@ -446,26 +571,11 @@ Verdict check_incremental(const FuzzCase& c) {
     return pass(kOracleIncremental, "skipped: perturbed network did not re-converge");
 
   verify::ForwardingGraph candidate(gnmi::Snapshot::capture(*fork, "candidate"));
-
-  // Never fall back on size: a huge dirty set must still splice correctly
-  // (the fallback path is trivially identical — it *is* the cold path).
-  verify::IncrementalStats stats;
-  verify::QueryOptions incremental = options;
-  incremental.incremental = verify_base.get();
-  incremental.incremental_max_dirty_fraction = 1.0;
-  incremental.incremental_stats = &stats;
-
-  std::string cold_cells = render_cells(verify::pairwise_reachability(candidate, options));
-  std::string spliced_cells =
-      render_cells(verify::pairwise_reachability(candidate, incremental));
-  if (cold_cells != spliced_cells)
-    return fail(kOracleIncremental,
-                "incremental pairwise diverged from cold after " +
-                    std::to_string(c.perturbations.size()) + " perturbation(s) (spliced=" +
-                    std::to_string(stats.spliced) + " retraced=" +
-                    std::to_string(stats.retraced) +
-                    (stats.fell_back ? " fallback=" + stats.fallback_reason : "") + ")");
-
+  if (std::string mismatch = splice_mismatch(*verify_base, candidate, options);
+      !mismatch.empty())
+    return fail(kOracleIncremental, "incremental pairwise diverged from cold after " +
+                                        std::to_string(c.perturbations.size()) +
+                                        " perturbation(s) (" + mismatch + ")");
   return pass(kOracleIncremental);
 }
 

@@ -3,29 +3,29 @@
 // A scenario fork (link cut, route withdraw, config replace) changes a
 // handful of FIB entries; cold verification nevertheless re-traces every
 // (source, destination) pair. This subsystem answers one query, the
-// loopback-to-loopback pairwise matrix, by diffing the two compiled
-// dataplanes (FibDelta) and splicing at cell granularity: a destination
-// whose loopback the delta cannot affect comes straight out of the base's
-// captured pairwise answer, and even inside a dirty destination only the
-// sources whose flows can meet a dirty node (the backward closure of that
-// destination's dirty node set over base ∪ candidate forwarding) are
-// re-traced (splicer.cpp). The splice is provably byte-identical to cold
-// re-verification (DESIGN.md §11); whenever the preconditions fail — the
-// delta is not expressible as a FIB diff, or the re-trace set exceeds a
-// configurable fraction — it falls back to the cold path and says why.
+// loopback-to-loopback pairwise matrix, by comparing the two compiled
+// forwarding graphs at each destination's loopback and splicing at cell
+// granularity. A node is a seed for a destination when one step of the
+// trace solver towards that loopback can differ between base and fork. A
+// destination without seeds comes straight out of the base's captured
+// pairwise answer, and inside a dirty destination only the sources whose
+// flows can meet a seed (the backward closure of the seeds over base
+// forwarding) are re-traced (splicer.cpp). The splice is provably
+// byte-identical to cold re-verification (DESIGN.md §11); whenever the
+// preconditions fail (the node set or a label table changed, or the
+// re-trace set exceeds a configurable fraction) it falls back to the cold
+// path and says why.
 //
 // Only the scenario runner splices: its forks share one base and differ
-// from it by small deltas, so a splice there saves more tracing than the
-// diff costs. Every other caller verifies cold (DESIGN.md §11 has the
-// measurements behind that choice).
+// from it by small deltas, so a splice there saves more tracing than
+// finding the seeds costs. Every other caller verifies cold (DESIGN.md §11
+// has the measurements behind that choice).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "verify/queries.hpp"
@@ -77,8 +77,9 @@ std::unique_ptr<IncrementalBase> capture_incremental_base(
 struct IncrementalStats {
   /// Destination columns considered (every candidate node).
   size_t destinations = 0;
-  /// Destinations whose loopback lies in the delta's dirty address ranges
-  /// or moved.
+  /// Destinations with at least one seed (a node whose trace step towards
+  /// the loopback can differ between base and fork), plus those whose
+  /// loopback moved.
   size_t dirty_destinations = 0;
   /// Cells (source x destination) served verbatim from the base answer —
   /// every cell of a clean destination, plus the closure-clean cells of
@@ -87,13 +88,13 @@ struct IncrementalStats {
   /// Cells re-traced on the candidate graph: spliced + retraced covers
   /// every cell of the matrix.
   size_t retraced = 0;
-  /// Devices whose forwarding the delta can affect for some dirty
-  /// destination: the union of the per-destination backward closures (all
-  /// nodes once a destination re-traces whole). Reported for
-  /// observability.
+  /// Devices whose flows can meet a seed for some dirty destination: the
+  /// union of the per-destination backward closures (all nodes once a
+  /// destination re-traces whole). Reported for observability.
   size_t dirty_nodes = 0;
   bool fell_back = false;
-  /// Why the cold path ran instead ("acl-delta", "dirty-fraction", ...).
+  /// Why the cold path ran instead: "no-base", "node-set-delta",
+  /// "label-delta" or "dirty-fraction".
   std::string fallback_reason;
 
   void accumulate(const IncrementalStats& other) {
@@ -108,58 +109,6 @@ struct IncrementalStats {
     }
   }
 };
-
-/// Per-node FIB entry delta counts.
-struct NodeDelta {
-  size_t added = 0;
-  size_t removed = 0;
-  size_t changed = 0;
-  /// Interface-state deltas (oper_up / address / vrf visibility).
-  size_t interfaces = 0;
-};
-
-/// The diff of two compiled dataplanes, reduced to the address space it
-/// can affect. `dirty_ranges` over-approximates: every destination whose
-/// forwarding behaviour could differ between the snapshots lies inside
-/// some range (the dirty-set rules are spelled out in DESIGN.md §11); an
-/// address outside every range provably traces identically on both.
-struct FibDelta {
-  /// False when the delta cannot be expressed as dirty address ranges
-  /// (ACL changes move packet-filter boundaries, label-table changes
-  /// affect traffic addressed anywhere, node add/remove changes the
-  /// source set). fallback_reason says which rule fired.
-  bool expressible = true;
-  std::string fallback_reason;
-  /// Nodes with any FIB or interface delta.
-  std::map<net::NodeName, NodeDelta> nodes;
-  /// Merged, sorted, disjoint inclusive [lo, hi] address-bit intervals.
-  std::vector<std::pair<uint32_t, uint32_t>> dirty_ranges;
-  /// The same intervals attributed to the node whose FIB or interface
-  /// delta produced them; `dirty_ranges` is their union. A node absent
-  /// here (or whose ranges miss an address) forwards that address
-  /// identically on both snapshots — the per-cell splice hinges on
-  /// exactly this (DESIGN.md §11).
-  std::map<net::NodeName, std::vector<std::pair<uint32_t, uint32_t>>> node_dirty_ranges;
-
-  /// True if [first, last] intersects any dirty range.
-  bool dirty(net::Ipv4Address first, net::Ipv4Address last) const {
-    return intersects(dirty_ranges, first, last);
-  }
-  bool dirty(net::Ipv4Address address) const { return dirty(address, address); }
-  /// True if [first, last] intersects one of the sorted, disjoint `ranges`
-  /// (dirty_ranges, or one node's node_dirty_ranges).
-  static bool intersects(const std::vector<std::pair<uint32_t, uint32_t>>& ranges,
-                         net::Ipv4Address first, net::Ipv4Address last);
-
-  size_t entries_added = 0;
-  size_t entries_removed = 0;
-  size_t entries_changed = 0;
-};
-
-/// Diffs two snapshots' compiled FIBs + interface state. Resolved next-hop
-/// comparison is index-insensitive (a fork may renumber hop indices
-/// without changing behaviour).
-FibDelta diff_fibs(const gnmi::Snapshot& base, const gnmi::Snapshot& candidate);
 
 /// Incremental engine behind pairwise_reachability(): splice clean
 /// destinations — and the closure-clean cells of dirty ones — from

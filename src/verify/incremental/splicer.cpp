@@ -2,27 +2,30 @@
 // fork's pairwise query by re-tracing only what the delta can actually
 // touch and splicing everything else from the captured bits.
 //
-// Granularity is per cell, not per destination. A destination whose
-// loopback is unchanged and misses every dirty range is spliced whole:
-// an address outside the ranges traces identically on both snapshots
-// (DESIGN.md §11). Inside a dirty destination, a cell (source,
-// destination) still splices unless the source can meet a node that is
-// dirty *for that loopback* along forwarding on either snapshot: the
-// backward closure of the destination's dirty node set over base ∪
-// candidate forwarding edges at the loopback (plus all label edges; label
-// deltas are inexpressible, so the tables are identical). A node outside
-// the closure provably forwards the loopback identically on both
-// snapshots, hop by hop, so its disposition set is unchanged. Only
-// closure sources re-trace, via TraceCache's partial solve — warming the
-// full per-destination table would cost O(nodes) per dirty destination
-// and erase the win. Every precondition failure routes to the cold path
-// with a named reason, and the result is byte-identical to cold
-// re-verification either way (enforced by tests and the incremental fuzz
-// oracle).
+// The dirty set comes straight from the two compiled graphs. For a
+// destination whose loopback is the same on both, a node is a *seed* when
+// one step of the trace solver (ClassSolver::expand) at that loopback can
+// differ between base and fork: it owns the loopback on one side only, or
+// its route there differs in a hop's drop flag, filter verdicts, next node,
+// pushed label or attached-hop outcome. A node that is not a seed steps
+// identically on both graphs. Granularity is per cell: a destination
+// without seeds splices whole, and inside a dirty destination a cell
+// (source, destination) still splices unless the source can meet a seed
+// along base forwarding at the loopback (plus the label edges, identical on
+// both graphs by precondition). A source outside that backward closure
+// only ever steps through non-seeds, so it forwards the loopback hop by hop
+// identically on both graphs (DESIGN.md §11). Only closure sources
+// re-trace, via TraceCache's partial solve — warming the full
+// per-destination table would cost O(nodes) per dirty destination and
+// erase the win. Every precondition failure routes to the cold path with a
+// named reason, and the result is byte-identical to cold re-verification
+// either way (enforced by tests and the incremental fuzz oracle).
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
+#include <string>
 
 #include "verify/incremental/incremental.hpp"
 #include "verify/sweep.hpp"
@@ -43,8 +46,8 @@ struct SpliceAdjacency {
   /// columns[destination][node id] -> upstream node ids (base graph).
   std::vector<std::vector<std::vector<uint32_t>>> columns;
   std::once_flag label_built;
-  /// Label-forwarding reverse edges (identical on both snapshots — a
-  /// label delta is inexpressible), address-independent, built once.
+  /// Label-forwarding reverse edges (identical on both graphs: a label
+  /// delta falls back), address-independent, built once.
   std::vector<std::vector<uint32_t>> label_reverse;
 };
 
@@ -73,143 +76,176 @@ void record(const QueryOptions& options, const IncrementalStats& stats) {
 
 /// How one destination column of the matrix is answered.
 enum class ColumnMode : uint8_t {
-  kSplice,   // clean: every cell from the base answer
-  kCell,     // dirty: closure cells re-trace, the rest splice
+  kSplice,   // no seed: every cell from the base answer
+  kCell,     // seeded: closure cells re-trace, the rest splice
   kRetrace,  // the loopback moved: re-trace every cell
 };
 
-/// Per-query context for the per-cell closure, by node id (base and
-/// candidate share ids — a node-set delta is inexpressible), over the
-/// base's SpliceAdjacency memo. closure() fills the memo lazily under its
-/// once_flags and otherwise allocates locally, so dirty destinations can
-/// run it in parallel and concurrent queries can share one base.
-class SpliceCloser {
- public:
-  using NodeId = ForwardingGraph::NodeId;
-  using Reverse = std::vector<std::vector<uint32_t>>;  // node id -> upstream ids
+using NodeId = ForwardingGraph::NodeId;
+using Hop = ForwardingGraph::Hop;
 
-  SpliceCloser(const IncrementalBase& base, const ForwardingGraph& candidate,
-               const FibDelta& delta)
-      : base_(base),
-        base_graph_(*base.graph),
-        candidate_(candidate),
-        memo_(*base.adjacency) {
-    // Each dirty node's ranges, resolved to its id once per query.
-    for (const auto& [node, ranges] : delta.node_dirty_ranges)
-      if (std::optional<NodeId> id = candidate.id_of(node)) dirty_.emplace_back(*id, &ranges);
+/// Why `candidate` cannot splice from `base`, or "" when it can. Node ids
+/// must name the same devices on both graphs, and the label tables must
+/// step identically: the closure takes its label edges from the base.
+std::string splice_precondition(const ForwardingGraph& base,
+                                const ForwardingGraph& candidate) {
+  if (base.nodes() != candidate.nodes()) return "node-set-delta";
+  auto same_hop = [](const Hop& b, const Hop& c) {
+    return b.next == c.next && b.label_op == c.label_op && b.label == c.label &&
+           b.drop == c.drop;
+  };
+  auto same_binding = [&](const auto& b, const auto& c) {
+    return b.first == c.first && std::equal(b.second.begin(), b.second.end(),
+                                            c.second.begin(), c.second.end(), same_hop);
+  };
+  for (NodeId node = 0; node < base.node_count(); ++node) {
+    auto b = base.labels(node);
+    auto c = candidate.labels(node);
+    if (!std::equal(b.begin(), b.end(), c.begin(), c.end(), same_binding))
+      return "label-delta";
   }
+  return "";
+}
 
-  /// Nodes whose flows to `destination`'s loopback can meet a node dirty
-  /// for that loopback on either snapshot: reverse reachability of that
-  /// seed set over the base and candidate forwarding edges at the
-  /// loopback, plus the label edges. A source outside the set traces the
-  /// loopback identically on both snapshots (DESIGN.md §11). The loopback
-  /// must be the same on both snapshots.
-  ///
-  /// The base side comes from the per-destination memo. The candidate
-  /// side only walks the seed nodes: a node outside the seed set forwards
-  /// the loopback identically on both snapshots (that is what its absence
-  /// from node_dirty_ranges certifies), so its candidate edges are
-  /// already in the base edge set — except when the loopback's
-  /// *ownership* moved, which rewrites attached-hop edges of clean nodes
-  /// too; then the closure walks every candidate node for this
-  /// destination (rare: ownership moves only on interface re-addressing).
-  std::vector<uint8_t> closure(size_t destination) const {
-    const net::Ipv4Address loopback = *base_.loopbacks[destination];
-    std::call_once(memo_.built[destination], [&] {
-      memo_.columns[destination] = forwarding_edges(base_graph_, loopback);
-    });
-    std::call_once(memo_.label_built, [&] { memo_.label_reverse = label_edges(); });
-    const Reverse& base_reverse = memo_.columns[destination];
-    const Reverse& label_reverse = memo_.label_reverse;
+/// One destination as the seed rule probes it: its node id, its loopback
+/// (the same on both graphs) and that loopback's owner on each side.
+struct Probe {
+  size_t destination;
+  net::Ipv4Address loopback;
+  NodeId base_owner = ForwardingGraph::kNoNode;
+  NodeId candidate_owner = ForwardingGraph::kNoNode;
+  /// Owned on both sides by the same node, whose ingress filter gives the
+  /// loopback the same verdict on both: an attached hop then steps the
+  /// same way from every node.
+  bool same_attached = false;
 
-    std::vector<NodeId> seeds;
-    for (const auto& [node, ranges] : dirty_)
-      if (FibDelta::intersects(*ranges, loopback, loopback)) seeds.push_back(node);
-
-    // Candidate edges as sorted (downstream, upstream) pairs.
-    std::vector<std::pair<NodeId, NodeId>> overlay;
-    NodeId owner = candidate_.owner(loopback);
-    if (base_graph_.owner(loopback) == owner) {
-      for (NodeId seed : seeds) add_edges(candidate_, seed, loopback, owner, overlay);
-    } else {
-      for (NodeId node = 0; node < candidate_.node_count(); ++node)
-        add_edges(candidate_, node, loopback, owner, overlay);
-    }
-    std::sort(overlay.begin(), overlay.end());
-
-    std::vector<uint8_t> in_closure(candidate_.node_count(), 0);
-    std::vector<NodeId> frontier;
-    auto reach = [&](NodeId node) {
-      if (in_closure[node]) return;
-      in_closure[node] = 1;
-      frontier.push_back(node);
-    };
-    for (NodeId seed : seeds) reach(seed);
-    while (!frontier.empty()) {
-      NodeId node = frontier.back();
-      frontier.pop_back();
-      for (uint32_t upstream : base_reverse[node]) reach(upstream);
-      for (uint32_t upstream : label_reverse[node]) reach(upstream);
-      for (auto it = std::lower_bound(overlay.begin(), overlay.end(),
-                                      std::pair<NodeId, NodeId>(node, 0));
-           it != overlay.end() && it->first == node; ++it)
-        reach(it->second);
-    }
-    return in_closure;
+  Probe(const ForwardingGraph& base, const ForwardingGraph& candidate, size_t node,
+        net::Ipv4Address address)
+      : destination(node),
+        loopback(address),
+        base_owner(base.owner(address)),
+        candidate_owner(candidate.owner(address)) {
+    if (base_owner == candidate_owner && base_owner != ForwardingGraph::kNoNode)
+      same_attached =
+          ForwardingGraph::permits(base.ingress_acl(base_owner, address), address) ==
+          ForwardingGraph::permits(candidate.ingress_acl(base_owner, address), address);
   }
+};
 
- private:
-  /// Forwarding edges out of `node` on `graph` at `destination`, as
-  /// (downstream, node) pairs. Addressed hops move to the hop owner,
-  /// attached hops to the destination owner (`owner`) — mirror of
-  /// Tracer::walk / ClassSolver.
-  static void add_edges(const ForwardingGraph& graph, NodeId node,
-                        net::Ipv4Address destination, NodeId owner,
-                        std::vector<std::pair<NodeId, NodeId>>& edges) {
+/// True when hop `b` of `node`'s base route and hop `c` at the same
+/// position of its candidate route move a packet for `probe.loopback` the
+/// same way: the per-hop cases of ClassSolver::expand. Filters are
+/// compared by verdict, never by pointer (they live in different
+/// snapshots).
+bool same_step(const ForwardingGraph& base, const ForwardingGraph& candidate, NodeId node,
+               const Probe& probe, const Hop& b, const Hop& c) {
+  const net::Ipv4Address to = probe.loopback;
+  if (b.drop != c.drop) return false;
+  if (b.drop) return true;
+  const bool out = ForwardingGraph::permits(b.egress_acl, to);
+  if (out != ForwardingGraph::permits(c.egress_acl, to)) return false;
+  if (!out) return true;
+  if (b.addressed != c.addressed) return false;
+  if (b.addressed) {
+    return b.next == c.next &&
+           (b.next == ForwardingGraph::kNoNode ||
+            (ForwardingGraph::permits(b.ingress_acl, to) ==
+                 ForwardingGraph::permits(c.ingress_acl, to) &&
+             b.label_op == c.label_op && b.label == c.label));
+  }
+  if (probe.base_owner != probe.candidate_owner) return false;
+  if (probe.base_owner != ForwardingGraph::kNoNode) return probe.same_attached;
+  return base.on_connected_subnet(node, to) == candidate.on_connected_subnet(node, to);
+}
+
+/// True when one step of the trace solver at `node` towards
+/// `probe.loopback` can differ between the two graphs.
+bool is_seed(const ForwardingGraph& base, const ForwardingGraph& candidate, NodeId node,
+             const Probe& probe) {
+  const bool owns = node == probe.base_owner;
+  if (owns != (node == probe.candidate_owner)) return true;
+  if (owns) return false;  // accepts on both graphs
+  auto hops = [&](const ForwardingGraph& graph) {
+    const ForwardingGraph::Route* route = graph.route(node, probe.loopback);
+    return route == nullptr ? std::span<const Hop>() : route->hops;
+  };
+  std::span<const Hop> b = hops(base);
+  std::span<const Hop> c = hops(candidate);
+  if (b.size() != c.size()) return true;
+  for (size_t i = 0; i < b.size(); ++i)
+    if (!same_step(base, candidate, node, probe, b[i], c[i])) return true;
+  return false;
+}
+
+using Reverse = std::vector<std::vector<uint32_t>>;  // node id -> upstream ids
+
+/// Reverse forwarding edges of `graph` at `destination`, all nodes.
+/// Addressed hops move to the hop owner, attached hops to the destination
+/// owner — mirror of Tracer::walk / ClassSolver.
+Reverse forwarding_edges(const ForwardingGraph& graph, net::Ipv4Address destination) {
+  Reverse reverse(graph.node_count());
+  NodeId owner = graph.owner(destination);
+  for (NodeId node = 0; node < graph.node_count(); ++node) {
     const ForwardingGraph::Route* route = graph.route(node, destination);
-    if (route == nullptr) return;
-    for (const ForwardingGraph::Hop& hop : route->hops) {
+    if (route == nullptr) continue;
+    for (const Hop& hop : route->hops) {
       if (hop.drop) continue;
       NodeId next = hop.addressed ? hop.next : owner;
-      if (next != ForwardingGraph::kNoNode) edges.emplace_back(next, node);
+      if (next != ForwardingGraph::kNoNode) reverse[next].push_back(node);
     }
   }
+  return reverse;
+}
 
-  /// Reverse forwarding edges of `graph` at `destination`, all nodes.
-  static Reverse forwarding_edges(const ForwardingGraph& graph,
-                                  net::Ipv4Address destination) {
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    NodeId owner = graph.owner(destination);
-    for (NodeId node = 0; node < graph.node_count(); ++node)
-      add_edges(graph, node, destination, owner, edges);
-    Reverse reverse(graph.node_count());
-    for (const auto& [next, node] : edges) reverse[next].push_back(node);
-    return reverse;
-  }
-
-  /// Label-forwarding reverse edges (identical on both snapshots; built
-  /// from the base graph).
-  Reverse label_edges() const {
-    Reverse reverse(base_graph_.node_count());
-    for (NodeId node = 0; node < base_graph_.node_count(); ++node) {
-      for (const auto& [label, hops] : base_graph_.labels(node)) {
-        // The tracer only follows the first resolved hop; taking them all
-        // keeps the edge set a sound over-approximation.
-        for (const ForwardingGraph::Hop& hop : hops)
-          if (!hop.drop && hop.next != ForwardingGraph::kNoNode)
-            reverse[hop.next].push_back(node);
-      }
+/// Label-forwarding reverse edges of `graph`, address-independent.
+Reverse label_edges(const ForwardingGraph& graph) {
+  Reverse reverse(graph.node_count());
+  for (NodeId node = 0; node < graph.node_count(); ++node) {
+    for (const auto& [label, hops] : graph.labels(node)) {
+      // The tracer only follows the first resolved hop, and ignores its
+      // drop flag; taking every hop keeps the edge set a sound
+      // over-approximation.
+      for (const Hop& hop : hops)
+        if (hop.next != ForwardingGraph::kNoNode) reverse[hop.next].push_back(node);
     }
-    return reverse;
   }
+  return reverse;
+}
 
-  const IncrementalBase& base_;
-  const ForwardingGraph& base_graph_;
-  const ForwardingGraph& candidate_;
-  SpliceAdjacency& memo_;
-  std::vector<std::pair<NodeId, const std::vector<std::pair<uint32_t, uint32_t>>*>> dirty_;
-};
+/// Nodes whose flows to `destination`'s loopback can meet one of `seeds`:
+/// reverse reachability of the seeds over the base forwarding edges at the
+/// loopback plus the label edges, by node id (base and candidate share
+/// ids — the precondition). The candidate's edges are not needed: a node
+/// that is not a seed steps identically on both graphs, so a candidate
+/// path reaches its first seed through base edges. A source outside the
+/// set traces the loopback identically on both graphs (DESIGN.md §11).
+/// Fills the base's SpliceAdjacency memo under its once_flags and
+/// otherwise allocates locally, so dirty destinations can run it in
+/// parallel and concurrent queries can share one base.
+std::vector<uint8_t> closure(const IncrementalBase& base, size_t destination,
+                             const std::vector<NodeId>& seeds) {
+  SpliceAdjacency& memo = *base.adjacency;
+  std::call_once(memo.built[destination], [&] {
+    memo.columns[destination] = forwarding_edges(*base.graph, *base.loopbacks[destination]);
+  });
+  std::call_once(memo.label_built, [&] { memo.label_reverse = label_edges(*base.graph); });
+
+  std::vector<uint8_t> in_closure(base.graph->node_count(), 0);
+  std::vector<NodeId> frontier;
+  auto reach = [&](NodeId node) {
+    if (in_closure[node]) return;
+    in_closure[node] = 1;
+    frontier.push_back(node);
+  };
+  for (NodeId seed : seeds) reach(seed);
+  while (!frontier.empty()) {
+    NodeId node = frontier.back();
+    frontier.pop_back();
+    for (uint32_t upstream : memo.columns[destination][node]) reach(upstream);
+    for (uint32_t upstream : memo.label_reverse[node]) reach(upstream);
+  }
+  return in_closure;
+}
 
 }  // namespace
 
@@ -240,38 +276,58 @@ PairwiseResult incremental_pairwise(const ForwardingGraph& graph,
   const IncrementalBase* base = options.incremental;
   if (base == nullptr || base->graph == nullptr || base->adjacency == nullptr)
     return fall_back("no-base");
-  FibDelta delta = diff_fibs(base->graph->snapshot(), graph.snapshot());
-  if (!delta.expressible) return fall_back(delta.fallback_reason);
+  const ForwardingGraph& base_graph = *base->graph;
+  if (std::string reason = splice_precondition(base_graph, graph); !reason.empty())
+    return fall_back(std::move(reason));
 
-  // An expressible delta keeps the node set, and node ids follow name
-  // order, so row s and column d name the same devices on both sides.
+  // The node lists are equal and node ids follow name order, so row s and
+  // column d name the same devices on both sides.
   const std::vector<net::NodeName>& nodes = graph.nodes();
   const size_t node_count = nodes.size();
   stats.destinations = node_count;
 
-  // A destination splices whole when its loopback is unchanged and
-  // outside every dirty range. A dirty destination whose loopback is
-  // unchanged still splices per cell; a moved loopback re-traces whole.
+  // A moved loopback re-traces its column whole; every other loopback is
+  // probed for seeds.
   std::vector<std::optional<net::Ipv4Address>> loopbacks = sweep::loopbacks(graph);
   std::vector<ColumnMode> mode(node_count, ColumnMode::kSplice);
-  std::vector<size_t> dirty_index;
+  std::vector<Probe> probes;
   for (size_t d = 0; d < node_count; ++d) {
     if (!loopbacks[d]) continue;  // column skipped, as in the cold sweep
-    const bool moved = base->loopbacks[d] != loopbacks[d];
-    if (!moved && !delta.dirty(*loopbacks[d])) continue;
-    mode[d] = moved ? ColumnMode::kRetrace : ColumnMode::kCell;
-    dirty_index.push_back(d);
+    if (base->loopbacks[d] != loopbacks[d])
+      mode[d] = ColumnMode::kRetrace;
+    else
+      probes.emplace_back(base_graph, graph, d, *loopbacks[d]);
+  }
+
+  // The seed pass walks node by node and probes each node's tables for
+  // every destination at once, so they stay in cache: seeded[n * P + i]
+  // marks node n a seed for probes[i]. A destination with a seed splices
+  // per cell; one without splices whole.
+  unsigned threads = sweep::resolve_threads(options);
+  const size_t probe_count = probes.size();
+  std::vector<uint8_t> seeded(node_count * probe_count, 0);
+  util::parallel_for_shards(threads, node_count, [&](size_t node) {
+    for (size_t i = 0; i < probe_count; ++i)
+      seeded[node * probe_count + i] =
+          is_seed(base_graph, graph, static_cast<NodeId>(node), probes[i]) ? 1 : 0;
+  });
+  std::vector<std::vector<NodeId>> seeds(node_count);  // by destination
+  for (NodeId node = 0; node < node_count; ++node)
+    for (size_t i = 0; i < probe_count; ++i)
+      if (seeded[node * probe_count + i] != 0) seeds[probes[i].destination].push_back(node);
+  std::vector<size_t> dirty_index;
+  for (size_t d = 0; d < node_count; ++d) {
+    if (!seeds[d].empty()) mode[d] = ColumnMode::kCell;
+    if (mode[d] != ColumnMode::kSplice) dirty_index.push_back(d);
   }
   stats.dirty_destinations = dirty_index.size();
 
   // Sources are the graph's own nodes (row s is node id s), so a cell
   // destination's closure is its re-trace row set.
-  SpliceCloser closer(*base, graph, delta);
-  unsigned threads = sweep::resolve_threads(options);
   std::vector<std::vector<uint8_t>> retrace(dirty_index.size());
   util::parallel_for_shards(threads, dirty_index.size(), [&](size_t i) {
     size_t d = dirty_index[i];
-    if (mode[d] == ColumnMode::kCell) retrace[i] = closer.closure(d);
+    if (mode[d] == ColumnMode::kCell) retrace[i] = closure(*base, d, seeds[d]);
   });
 
   // The fallback guard weighs re-traced cells, not dirty destinations:

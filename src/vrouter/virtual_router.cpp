@@ -218,8 +218,9 @@ size_t VirtualRouter::unprogram_all() {
 std::map<net::Ipv4Prefix, std::vector<net::Ipv4Address>>
 VirtualRouter::programmed_routes() const {
   std::map<net::Ipv4Prefix, std::vector<net::Ipv4Address>> programmed;
-  rib_.for_each_best([&](const net::Ipv4Prefix& prefix,
-                         const std::vector<rib::RibRoute>& best) {
+  // Every prefix's candidates, not just its best set: a programmed route
+  // counts even while another protocol wins.
+  rib_.for_each_best([&](const net::Ipv4Prefix& prefix, const std::vector<rib::RibRoute>&) {
     for (const rib::RibRoute& route : rib_.candidates(prefix))
       if (route.protocol == rib::Protocol::kGribi && route.next_hop)
         programmed[prefix].push_back(*route.next_hop);

@@ -223,8 +223,10 @@ emu::Topology fig2_topology(bool ebgp_session_down) {
     config.bgp.neighbors.back().route_map_out = "RM-EXPORT";
     advertise_loopback(config, fig2_loopback(1));
     // A customer aggregate originated at the AS1 edge.
-    config.static_routes.push_back(
-        {*net::Ipv4Prefix::parse("192.0.2.0/24"), std::nullopt, std::nullopt, true, 1});
+    config::StaticRoute discard;
+    discard.prefix = *net::Ipv4Prefix::parse("192.0.2.0/24");
+    discard.null_route = true;
+    config.static_routes.push_back(discard);
     config.bgp.networks.push_back({*net::Ipv4Prefix::parse("192.0.2.0/24"), std::nullopt});
     topology.nodes.push_back(to_node(config));
   }

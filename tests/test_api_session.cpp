@@ -1,6 +1,10 @@
 // Session API surface: snapshot lifecycle, backend selection, error typing,
-// and snapshot import/export.
+// snapshot import/export, and concurrent queries on one snapshot.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "api/session.hpp"
 #include "cli/show.hpp"
@@ -113,6 +117,41 @@ TEST(Session, EmulationOptionsPropagate) {
   auto pairwise = session.pairwise_reachability("jittered");
   ASSERT_TRUE(pairwise.ok());
   EXPECT_TRUE(pairwise->full_mesh()) << "jitter must not break convergence";
+}
+
+/// Every answer of the three sweep queries on `name`, rendered.
+std::string render_queries(const Session& session, const std::string& name) {
+  std::string out;
+  auto reachability = session.reachability(name);
+  auto pairwise = session.pairwise_reachability(name);
+  auto loops = session.detect_loops(name);
+  if (!reachability.ok() || !pairwise.ok() || !loops.ok()) return "query failed";
+  for (const verify::ReachabilityRow& row : reachability->rows)
+    out += row.source + "|" + row.destination.to_string() + "|" +
+           row.dispositions.to_string() + "\n";
+  for (const verify::PairwiseCell& cell : pairwise->cells)
+    out += cell.source + ">" + cell.destination + "=" + (cell.reachable ? "1" : "0") + "\n";
+  for (const verify::ReachabilityRow& row : loops->rows)
+    out += "loop " + row.source + "|" + row.destination.to_string() + "\n";
+  return out;
+}
+
+TEST(Session, ConcurrentQueriesOnOneSnapshot) {
+  Session serial;
+  ASSERT_TRUE(serial.init_snapshot(workload::fig2_topology(false), "fig2").ok());
+  const std::string expected = render_queries(serial, "fig2");
+  ASSERT_NE(expected, "query failed");
+
+  // Four threads query a snapshot nobody has queried yet: its graph and
+  // cache must already exist, not be built by whichever query comes first.
+  Session session;
+  ASSERT_TRUE(session.init_snapshot(workload::fig2_topology(false), "fig2").ok());
+  std::vector<std::string> answers(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < answers.size(); ++i)
+    threads.emplace_back([&, i] { answers[i] = render_queries(session, "fig2"); });
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& answer : answers) EXPECT_EQ(answer, expected);
 }
 
 }  // namespace

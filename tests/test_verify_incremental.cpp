@@ -2,9 +2,9 @@
 // engine must be byte-identical to cold verification for every
 // perturbation kind, on the curated fig-2 network and on a 200-router
 // WAN; it must actually splice (not silently fall back) when the delta is
-// small; and it must fall back — still byte-identically — when told the
-// dirty set is too large or when the delta is not expressible as a FIB
-// diff.
+// small, packet-filter deltas included; and it must fall back — still
+// byte-identically — when told the dirty set is too large or when the node
+// set changed.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -173,23 +173,66 @@ TEST(VerifyIncremental, ZeroDirtyFractionForcesFallbackButStaysIdentical) {
   EXPECT_EQ(stats.fallback_reason, "dirty-fraction");
 }
 
-TEST(VerifyIncremental, AclDeltaFallsBack) {
-  // An ACL delta moves packet-filter boundaries, which dirty address
-  // ranges cannot express: diff_fibs must refuse and the query must run
-  // cold (with the reason recorded) rather than splice wrongly.
+TEST(VerifyIncremental, AclDeltaSplices) {
+  // A packet filter that denies one loopback on the interface a neighbour
+  // forwards that loopback through: the neighbour becomes a seed (its
+  // hop's ingress verdict changed), the filter's cells re-trace, and the
+  // answer still equals cold without falling back.
+  emu::Topology topology = workload::fig2_topology(false);
+  std::unique_ptr<emu::Emulation> base = boot(topology);
+  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
+  ForwardingGraph base_graph(base_snapshot);
+
+  // First (node, destination) whose route to the destination's loopback
+  // leaves through an addressed hop into a transit device.
+  gnmi::Snapshot candidate_snapshot = base_snapshot;
+  bool filtered = false;
+  for (ForwardingGraph::NodeId node = 0; node < base_graph.node_count() && !filtered; ++node) {
+    for (const net::NodeName& destination : base_graph.nodes()) {
+      std::optional<net::Ipv4Address> loopback = device_loopback(base_snapshot, destination);
+      if (!loopback || base_graph.name(node) == destination) continue;
+      const ForwardingGraph::Route* route = base_graph.route(node, *loopback);
+      if (route == nullptr || route->hops.empty()) continue;
+      const ForwardingGraph::Hop& hop = route->hops.front();
+      if (!hop.addressed || hop.next == ForwardingGraph::kNoNode ||
+          base_graph.name(hop.next) == destination)
+        continue;
+      aft::DeviceAft& next = candidate_snapshot.devices.at(base_graph.name(hop.next));
+      for (auto& [name, interface] : next.interfaces) {
+        if (!interface.address || interface.address->address != *hop.source->ip_address)
+          continue;
+        interface.acl_in = std::vector<aft::AclRule>{
+            {false, net::Ipv4Prefix::host(*loopback)}, {true, net::Ipv4Prefix()}};
+        filtered = true;
+      }
+      if (filtered) break;
+    }
+  }
+  ASSERT_TRUE(filtered) << "no transit hop to filter";
+
+  ForwardingGraph candidate(candidate_snapshot);
+  QueryOptions options = test_options();
+  std::unique_ptr<IncrementalBase> verify_base =
+      capture_incremental_base(base_graph, options);
+  QueryOptions incremental = options;
+  incremental.incremental = verify_base.get();
+  incremental.incremental_max_dirty_fraction = 1.0;
+  IncrementalStats stats;
+  incremental.incremental_stats = &stats;
+  EXPECT_EQ(render(pairwise_reachability(candidate, options)),
+            render(pairwise_reachability(candidate, incremental)));
+  EXPECT_FALSE(stats.fell_back) << stats.fallback_reason;
+  EXPECT_GT(stats.retraced, 0u);
+  EXPECT_GT(stats.spliced, 0u);
+}
+
+TEST(VerifyIncremental, NodeSetDeltaFallsBack) {
   emu::Topology topology = workload::fig2_topology(false);
   std::unique_ptr<emu::Emulation> base = boot(topology);
   gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
   gnmi::Snapshot candidate_snapshot = base_snapshot;
   ASSERT_FALSE(candidate_snapshot.devices.empty());
-  aft::DeviceAft& device = candidate_snapshot.devices.begin()->second;
-  ASSERT_FALSE(device.interfaces.empty());
-  device.interfaces.begin()->second.acl_in =
-      std::vector<aft::AclRule>{{false, *net::Ipv4Prefix::parse("10.9.0.0/16")}};
-
-  FibDelta delta = diff_fibs(base_snapshot, candidate_snapshot);
-  EXPECT_FALSE(delta.expressible);
-  EXPECT_EQ(delta.fallback_reason, "acl-delta");
+  candidate_snapshot.devices.erase(candidate_snapshot.devices.begin());
 
   ForwardingGraph base_graph(base_snapshot);
   ForwardingGraph candidate(candidate_snapshot);
@@ -203,56 +246,7 @@ TEST(VerifyIncremental, AclDeltaFallsBack) {
   EXPECT_EQ(render(pairwise_reachability(candidate, options)),
             render(pairwise_reachability(candidate, incremental)));
   EXPECT_TRUE(stats.fell_back);
-  EXPECT_EQ(stats.fallback_reason, "acl-delta");
-}
-
-TEST(VerifyIncremental, NodeSetDeltaFallsBack) {
-  emu::Topology topology = workload::fig2_topology(false);
-  std::unique_ptr<emu::Emulation> base = boot(topology);
-  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
-  gnmi::Snapshot candidate_snapshot = base_snapshot;
-  ASSERT_FALSE(candidate_snapshot.devices.empty());
-  candidate_snapshot.devices.erase(candidate_snapshot.devices.begin());
-  FibDelta delta = diff_fibs(base_snapshot, candidate_snapshot);
-  EXPECT_FALSE(delta.expressible);
-  EXPECT_EQ(delta.fallback_reason, "node-set-delta");
-}
-
-// -- diff_fibs unit behaviour -------------------------------------------------
-
-TEST(FibDelta, IdenticalSnapshotsProduceEmptyDelta) {
-  emu::Topology topology = workload::fig2_topology(false);
-  std::unique_ptr<emu::Emulation> base = boot(topology);
-  gnmi::Snapshot snapshot = gnmi::Snapshot::capture(*base, "base");
-  FibDelta delta = diff_fibs(snapshot, snapshot);
-  EXPECT_TRUE(delta.expressible);
-  EXPECT_TRUE(delta.dirty_ranges.empty());
-  EXPECT_TRUE(delta.nodes.empty());
-  EXPECT_EQ(delta.entries_added + delta.entries_removed + delta.entries_changed, 0u);
-}
-
-TEST(FibDelta, LinkCutDirtiesOnlyAffectedRanges) {
-  emu::Topology topology = ring_wan(12, 3);
-  std::unique_ptr<emu::Emulation> base = boot(topology);
-  gnmi::Snapshot base_snapshot = gnmi::Snapshot::capture(*base, "base");
-  std::unique_ptr<emu::Emulation> fork = base->fork();
-  ASSERT_NE(fork, nullptr);
-  ASSERT_TRUE(fork->set_link_up(topology.links[0].a, topology.links[0].b, false));
-  ASSERT_TRUE(fork->run_to_convergence());
-  gnmi::Snapshot candidate_snapshot = gnmi::Snapshot::capture(*fork, "cut");
-
-  FibDelta delta = diff_fibs(base_snapshot, candidate_snapshot);
-  ASSERT_TRUE(delta.expressible) << delta.fallback_reason;
-  EXPECT_FALSE(delta.dirty_ranges.empty()) << "a cut must change some FIBs";
-  EXPECT_FALSE(delta.nodes.empty());
-  // Ranges are merged, sorted, and disjoint.
-  for (size_t i = 1; i < delta.dirty_ranges.size(); ++i)
-    EXPECT_GT(delta.dirty_ranges[i].first, delta.dirty_ranges[i - 1].second);
-  // dirty() agrees with the ranges at their boundaries.
-  for (const auto& [lo, hi] : delta.dirty_ranges) {
-    EXPECT_TRUE(delta.dirty(net::Ipv4Address(lo)));
-    EXPECT_TRUE(delta.dirty(net::Ipv4Address(hi)));
-  }
+  EXPECT_EQ(stats.fallback_reason, "node-set-delta");
 }
 
 // -- dirty-set closure --------------------------------------------------------
