@@ -74,6 +74,8 @@ class Session {
   /// paper's per-scenario pipeline repeats. The new snapshot keeps its own
   /// live emulation, so it can itself be forked or perturbed further. The
   /// recorded convergence_time is the incremental re-convergence only.
+  /// Fails as VerifiedState::fork does, and with INVALID_ARGUMENT for a
+  /// base without a live emulation.
   util::Status fork_snapshot(const std::string& base, const std::string& name,
                              const std::vector<scenario::Perturbation>& perturbations);
 
@@ -108,30 +110,19 @@ class Session {
                                                      const net::NodeName& node = "") const;
 
  private:
-  /// One named snapshot. The graph owns the snapshot (snapshot() reads it
-  /// back), and graph and cache are built when the snapshot is added, so
-  /// const queries only read the entry and may run concurrently.
+  /// One named snapshot, built when it is added, so const queries only read
+  /// it and may run concurrently. Its cache serves every query that brings
+  /// none (each destination class is solved once per *session*).
   struct Entry {
     SnapshotInfo info;
-    std::unique_ptr<emu::Emulation> emulation;           // model-free only
-    std::unique_ptr<verify::ForwardingGraph> graph;
-    /// Long-lived memoization shared by every query on this snapshot (the
-    /// cached engine solves each destination class once per *session*, not
-    /// once per query). Plugged into QueryOptions whenever the caller did
-    /// not bring their own cache.
-    std::unique_ptr<verify::TraceCache> cache;
+    scenario::VerifiedState state;
   };
 
-  /// Compiles `snapshot` (renamed to `name`) into `entry` and registers it.
-  void insert(const std::string& name, gnmi::Snapshot snapshot, Entry entry);
+  /// Registers a model-free build as `name`, or returns its failure.
+  util::Status add_converged(const std::string& name,
+                             util::Result<scenario::VerifiedState> state);
   const Entry* find(const std::string& name) const;
-  const verify::ForwardingGraph* graph_for(const std::string& name) const;
-  /// The session-owned cache for a snapshot (nullptr if unknown).
-  verify::TraceCache* cache_for(const std::string& name) const;
-  /// `options` with the session-owned caches filled into empty cache slots.
-  verify::QueryOptions with_session_caches(
-      const verify::QueryOptions& options, const std::string& snapshot,
-      const std::string& candidate = "") const;
+  const scenario::VerifiedState* state_for(const std::string& name) const;
 
   SessionOptions options_;
   std::map<std::string, Entry> snapshots_;

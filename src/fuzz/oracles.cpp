@@ -14,7 +14,6 @@
 #include "verify/forwarding_graph.hpp"
 #include "verify/incremental/incremental.hpp"
 #include "verify/queries.hpp"
-#include "verify/trace_cache.hpp"
 
 namespace mfv::fuzz {
 
@@ -176,26 +175,12 @@ Verdict check_fork(const FuzzCase& c) {
 
 // -- oracle 3: snapshot-store hit vs independent rebuild --------------------
 
-util::Result<std::unique_ptr<service::StoredSnapshot>> build_base_entry(
-    const emu::Topology& topology) {
-  auto entry = std::make_unique<service::StoredSnapshot>();
-  auto emulation = std::make_unique<emu::Emulation>();
-  util::Status status = emulation->add_topology(topology);
-  if (!status.ok()) return status;
-  emulation->start_all();
-  if (!emulation->run_to_convergence())
-    return util::internal_error("did not converge");
-  entry->graph =
-      std::make_unique<verify::ForwardingGraph>(gnmi::Snapshot::capture(*emulation, "snap"));
-  entry->emulation = std::move(emulation);
-  entry->cache = std::make_unique<verify::TraceCache>(*entry->graph);
-  return entry;
-}
-
 Verdict check_store(const FuzzCase& c) {
   service::SnapshotStore store;
   service::SnapshotKey key = service::key_for_topology(c.topology);
-  auto builder = [&c]() { return build_base_entry(c.topology); };
+  auto builder = [&c]() {
+    return service::make_entry(scenario::VerifiedState::boot(c.topology, "snap"));
+  };
 
   util::Result<service::SnapshotStore::Lease> first = store.get_or_build(service::kDefaultTenant, key, builder);
   if (!first.ok()) return pass(kOracleStore, "skipped: " + first.status().message());
@@ -214,19 +199,9 @@ Verdict check_store(const FuzzCase& c) {
   // Forked key: cache the fork, hit it, compare against a cold boot that
   // applies the same perturbations.
   service::SnapshotKey fork_key = service::key_for_fork(key, c.perturbations);
-  auto fork_builder = [&]() -> util::Result<std::unique_ptr<service::StoredSnapshot>> {
-    std::unique_ptr<emu::Emulation> fork = first->entry->emulation->fork();
-    if (fork == nullptr) return util::internal_error("base refused to fork");
-    for (const scenario::Perturbation& perturbation : c.perturbations)
-      if (!scenario::ScenarioRunner::apply(*fork, perturbation))
-        return util::not_found("perturbation target missing");
-    if (!fork->run_to_convergence()) return util::internal_error("did not re-converge");
-    auto entry = std::make_unique<service::StoredSnapshot>();
-    entry->graph =
-        std::make_unique<verify::ForwardingGraph>(gnmi::Snapshot::capture(*fork, "snap"));
-    entry->emulation = std::move(fork);
-    entry->cache = std::make_unique<verify::TraceCache>(*entry->graph);
-    return entry;
+  auto fork_builder = [&]() {
+    return service::make_entry(
+        scenario::VerifiedState::fork(*first->entry->emulation, c.perturbations, "snap"));
   };
   util::Result<service::SnapshotStore::Lease> forked =
       store.get_or_build(service::kDefaultTenant, fork_key, fork_builder);

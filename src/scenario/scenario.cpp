@@ -183,12 +183,68 @@ bool ScenarioRunner::apply(emu::Emulation& emulation, const Perturbation& pertur
       perturbation);
 }
 
+VerifiedState VerifiedState::compile(gnmi::Snapshot snapshot,
+                                     obs::MetricsRegistry* metrics) {
+  VerifiedState state;
+  state.graph = std::make_unique<verify::ForwardingGraph>(std::move(snapshot));
+  state.cache = std::make_unique<verify::TraceCache>(*state.graph, metrics);
+  return state;
+}
+
+VerifiedState VerifiedState::capture(const emu::Emulation& emulation, const std::string& name,
+                                     obs::MetricsRegistry* metrics) {
+  return compile(gnmi::Snapshot::capture(emulation, name), metrics);
+}
+
+util::Result<VerifiedState> VerifiedState::boot(const emu::Topology& topology,
+                                                const std::string& name,
+                                                const BuildOptions& options) {
+  auto emulation = std::make_unique<emu::Emulation>(options.emulation);
+  util::Status status = emulation->add_topology(topology);
+  if (!status.ok()) return status;
+  emulation->start_all();
+  if (!emulation->run_to_convergence(options.max_events))
+    return util::internal_error("snapshot '" + name +
+                                "' did not converge within the event budget");
+  VerifiedState state = capture(*emulation, name, options.metrics);
+  state.convergence_time = emulation->converged_at() - util::TimePoint(0);
+  state.events = emulation->kernel().executed();
+  state.messages = emulation->messages_delivered();
+  state.emulation = std::move(emulation);
+  return state;
+}
+
+util::Result<VerifiedState> VerifiedState::fork(const emu::Emulation& base,
+                                                const std::vector<Perturbation>& perturbations,
+                                                const std::string& name,
+                                                const BuildOptions& options) {
+  std::unique_ptr<emu::Emulation> fork = base.fork();
+  if (fork == nullptr)
+    return util::failed_precondition("cannot fork snapshot '" + name +
+                                     "': its base emulation is not quiescent");
+  const util::TimePoint forked_at = fork->kernel().now();
+  const uint64_t events_before = fork->kernel().executed();
+  for (const Perturbation& perturbation : perturbations)
+    if (!ScenarioRunner::apply(*fork, perturbation))
+      return util::not_found("snapshot '" + name + "': perturbation target missing: " +
+                             perturbation_to_string(perturbation));
+  if (!fork->run_to_convergence(options.max_events))
+    return util::internal_error("snapshot '" + name +
+                                "' did not re-converge within the event budget");
+  VerifiedState state = capture(*fork, name, options.metrics);
+  state.convergence_time = fork->kernel().now() - forked_at;
+  state.events = fork->kernel().executed() - events_before;
+  state.messages = fork->messages_delivered();
+  state.emulation = std::move(fork);
+  return state;
+}
+
 ScenarioRunner::ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions options)
     : base_(base),
       options_(options),
       base_idle_(base.kernel().idle()),
-      base_graph_(gnmi::Snapshot::capture(base, "base")),
-      incremental_base_(verify::capture_incremental_base(base_graph_, options_.verify)),
+      base_state_(VerifiedState::capture(base, "base")),
+      incremental_base_(verify::capture_incremental_base(*base_state_.graph, options_.verify)),
       base_pairwise_(incremental_base_->pairwise()) {}
 
 util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
@@ -215,40 +271,39 @@ util::Result<std::vector<ScenarioResult>> ScenarioRunner::run(
   }
   const uint64_t cow_clones_before = util::cow_clone_count().load();
 
+  const BuildOptions build{{}, options_.max_events, options_.verify.metrics};
   std::vector<ScenarioResult> results(scenarios.size());
   util::parallel_for_shards(options_.threads, scenarios.size(), [&](size_t index) {
     const Scenario& scenario = scenarios[index];
     ScenarioResult& result = results[index];
     result.name = scenario.name;
 
-    std::unique_ptr<emu::Emulation> fork = base_.fork();
-    if (fork == nullptr) return;  // base went non-idle underneath us
     if (forks_counter != nullptr) {
       forks_counter->add(1);
       fork_depth->observe(static_cast<int64_t>(scenario.perturbations.size()));
     }
-
-    util::TimePoint forked_at = fork->kernel().now();
-    uint64_t events_before = fork->kernel().executed();
-    result.applied = true;
-    for (const Perturbation& perturbation : scenario.perturbations)
-      if (!apply(*fork, perturbation)) result.applied = false;
-    result.converged = fork->run_to_convergence(options_.max_events);
-    result.reconvergence = fork->kernel().now() - forked_at;
-    result.events = fork->kernel().executed() - events_before;
+    util::Result<VerifiedState> state =
+        VerifiedState::fork(base_, scenario.perturbations, scenario.name, build);
+    // A failed build carries no answer: NOT_FOUND is a missing target,
+    // INTERNAL an exhausted event budget.
+    result.applied = state.ok() || state.status().code() == util::StatusCode::kInternal;
+    result.converged = state.ok();
+    if (!state.ok()) return;
+    result.reconvergence = state->convergence_time;
+    result.events = state->events;
     if (events_counter != nullptr) {
       events_counter->add(result.events);
       reconvergence_us->observe(result.reconvergence.count_micros());
     }
 
-    verify::ForwardingGraph graph(gnmi::Snapshot::capture(*fork, scenario.name));
     verify::QueryOptions verify_options = options_.verify;
-    // Shared read-only across shards; diff + splice are const over it.
+    verify_options.cache = state->cache.get();
+    // Shared read-only across shards; the splice is const over it.
     verify_options.incremental = incremental_base_.get();
     verify_options.incremental_stats = &result.incremental;
-    result.pairwise = verify::pairwise_reachability(graph, verify_options);
+    result.pairwise = verify::pairwise_reachability(*state->graph, verify_options);
     result.broken_pairs = broken_pairs(base_pairwise_, result.pairwise);
-    if (options_.keep_snapshots) result.snapshot = graph.snapshot();
+    if (options_.keep_snapshots) result.snapshot = state->graph->snapshot();
   });
 
   // Process-wide delta, so clones by a concurrent unrelated sweep can

@@ -8,8 +8,13 @@
 // applies a perturbation delta, runs only the *incremental* re-convergence,
 // and verifies the resulting gnmi::Snapshot pairwise, splicing the answer
 // from the base's captured one (verify/incremental).
-// Scenarios shard across util::ThreadPool workers; every fork is an
-// independent emulation, so workers share nothing mutable.
+// Scenarios shard across util::parallel_for_shards' per-call threads;
+// every fork is an independent emulation, so workers share nothing
+// mutable.
+//
+// VerifiedState's boot and fork builders are the one implementation of
+// converge → capture → compile, shared by the runner, api::Session and the
+// service's snapshot store (DESIGN.md §6).
 //
 // The soundness argument — a forked-and-reconverged snapshot is
 // byte-identical to a cold boot that reaches the same converged state and
@@ -17,6 +22,7 @@
 // tests/test_scenario_fork.cpp and spelled out in DESIGN.md.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -30,6 +36,7 @@
 #include "verify/forwarding_graph.hpp"
 #include "verify/incremental/incremental.hpp"
 #include "verify/queries.hpp"
+#include "verify/trace_cache.hpp"
 
 namespace mfv::scenario {
 
@@ -72,6 +79,58 @@ util::Result<Perturbation> perturbation_from_json(const util::Json& json);
 /// Parses a JSON array of perturbations; fails on the first invalid one.
 util::Result<std::vector<Perturbation>> perturbations_from_json(const util::Json& json);
 
+/// How the VerifiedState builders converge and index a state.
+struct BuildOptions {
+  /// Emulation settings of a boot (a fork inherits its base's).
+  emu::EmulationOptions emulation;
+  /// Event budget of the build's convergence run.
+  uint64_t max_events = 100000000ull;
+  /// Registry the state's TraceCache mirrors its counters into.
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
+/// One converged network state, ready to query. Immutable once built, so
+/// const queries on it may run concurrently.
+struct VerifiedState {
+  /// Quiescent emulation; the fork() source for further what-ifs (null for
+  /// imported and model-based snapshots).
+  std::unique_ptr<emu::Emulation> emulation;
+  /// Compiled dataplane; owns the captured snapshot (graph->snapshot()).
+  std::unique_ptr<verify::ForwardingGraph> graph;
+  /// Thread-safe memoization over `graph`, shared by every query on it.
+  std::unique_ptr<verify::TraceCache> cache;
+  /// Virtual time of the build's convergence: a boot's converged_at(), a
+  /// fork's reconvergence (fork → quiescence).
+  util::Duration convergence_time;
+  /// Events the build's convergence run executed.
+  uint64_t events = 0;
+  /// Control-plane messages the emulation has delivered in all.
+  uint64_t messages = 0;
+
+  /// The compile step every builder shares: indexes `snapshot` into a
+  /// graph and its cache. No emulation, zero convergence statistics.
+  static VerifiedState compile(gnmi::Snapshot snapshot,
+                               obs::MetricsRegistry* metrics = nullptr);
+  /// Captures a quiescent emulation's AFTs as snapshot `name` and compiles
+  /// them. The emulation is only read, not taken.
+  static VerifiedState capture(const emu::Emulation& emulation, const std::string& name,
+                               obs::MetricsRegistry* metrics = nullptr);
+  /// Boots `topology` to convergence and captures it as `name`. Fails
+  /// with the topology's own status when it does not load, and INTERNAL
+  /// when the event budget runs out.
+  static util::Result<VerifiedState> boot(const emu::Topology& topology,
+                                          const std::string& name,
+                                          const BuildOptions& options = {});
+  /// Forks `base`, applies `perturbations` in order, reconverges and
+  /// captures the result as `name`. Fails with FAILED_PRECONDITION when
+  /// `base` is not quiescent, NOT_FOUND (naming the first missing target)
+  /// before converging, and INTERNAL when the event budget runs out.
+  static util::Result<VerifiedState> fork(const emu::Emulation& base,
+                                          const std::vector<Perturbation>& perturbations,
+                                          const std::string& name,
+                                          const BuildOptions& options = {});
+};
+
 /// One what-if scenario: a named list of deltas applied to the base.
 struct Scenario {
   std::string name;
@@ -81,9 +140,10 @@ struct Scenario {
 struct ScenarioResult {
   std::string name;
   /// False when a perturbation target did not exist (unknown link, node,
-  /// or peer). The scenario still ran on whatever did apply.
+  /// or peer); the scenario then neither converged nor carries an answer.
   bool applied = false;
-  /// False when re-convergence exceeded the event budget.
+  /// False when the scenario did not apply, or re-convergence exceeded
+  /// the event budget. Only a converged scenario carries an answer.
   bool converged = false;
   /// Virtual time the incremental re-convergence took (fork → quiescence).
   util::Duration reconvergence;
@@ -137,11 +197,12 @@ class ScenarioRunner {
   /// and stay untouched while sweeps execute.
   explicit ScenarioRunner(const emu::Emulation& base, ScenarioRunnerOptions options = {});
 
-  const gnmi::Snapshot& base_snapshot() const { return base_graph_.snapshot(); }
+  const gnmi::Snapshot& base_snapshot() const { return base_state_.graph->snapshot(); }
   const verify::PairwiseResult& base_pairwise() const { return base_pairwise_; }
 
-  /// Forks, perturbs, re-converges, and verifies every scenario, sharded
-  /// across workers. Slot i of the returned vector is scenario i.
+  /// Builds every scenario with VerifiedState::fork and verifies the
+  /// converged ones, sharded across workers. Slot i of the returned
+  /// vector is scenario i.
   util::Result<std::vector<ScenarioResult>> run(const std::vector<Scenario>& scenarios) const;
 
   /// Applies one perturbation to an emulation; false if its target does
@@ -153,7 +214,8 @@ class ScenarioRunner {
   const emu::Emulation& base_;
   ScenarioRunnerOptions options_;
   bool base_idle_ = false;
-  verify::ForwardingGraph base_graph_;
+  /// The base's captured dataplane (its emulation stays with the caller).
+  VerifiedState base_state_;
   /// The base's pairwise answer in splice-ready form; immutable after the
   /// constructor, shared read-only across shards.
   std::unique_ptr<verify::IncrementalBase> incremental_base_;

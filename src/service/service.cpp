@@ -157,40 +157,17 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
                              util::invalid_argument("malformed submission id '" + *id + "'"));
 
   const std::string& tenant = request.tenant_or_default();
-  std::shared_ptr<const emu::Topology> topology;
-  {
-    std::lock_guard<std::mutex> lock(uploads_mutex_);
-    auto it = uploads_.find(tenant + "/" + *id);
-    if (it != uploads_.end()) topology = it->second;
-  }
-  if (topology == nullptr)
-    return Response::failure(
-        request.id, util::not_found("no uploaded topology '" + *id +
-                                    "' in tenant '" + tenant +
-                                    "'; call upload_configs first"));
+  util::Result<std::shared_ptr<const emu::Topology>> topology = find_upload(tenant, *id);
+  if (!topology.ok()) return Response::failure(request.id, topology.status());
 
   auto converge_start = std::chrono::steady_clock::now();
-  const uint64_t content_check = content_check_for_topology(*topology);
+  const uint64_t content_check = content_check_for_topology(**topology);
   util::Result<SnapshotStore::Lease> lease =
-      store_.get_or_build(tenant, *key, [this, &topology, &id, parent_span]()
-                              -> util::Result<std::unique_ptr<StoredSnapshot>> {
+      store_.get_or_build(tenant, *key, [this, &topology, &id, parent_span]() {
         obs::TraceSpan converge(spans_, "converge", parent_span);
         converge.attr("snapshot", *id);
-        auto entry = std::make_unique<StoredSnapshot>();
-        auto emulation = std::make_unique<emu::Emulation>(options_.emulation);
-        util::Status status = emulation->add_topology(*topology);
-        if (!status.ok()) return status;
-        emulation->start_all();
-        if (!emulation->run_to_convergence(options_.max_events))
-          return util::internal_error("submission '" + *id +
-                                      "' did not converge within the event budget");
-        entry->convergence_time = emulation->converged_at() - util::TimePoint(0);
-        entry->messages = emulation->messages_delivered();
-        entry->graph = std::make_unique<verify::ForwardingGraph>(
-            gnmi::Snapshot::capture(*emulation, *id));
-        entry->emulation = std::move(emulation);
-        entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        return entry;
+        return make_entry(scenario::VerifiedState::boot(
+            **topology, *id, {options_.emulation, options_.max_events, metrics_}));
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());
   timing["converge_us"] = lease->hit ? int64_t{0} : elapsed_us(converge_start);
@@ -202,6 +179,16 @@ Response VerificationService::snapshot(const Request& request, util::Json& timin
   result["convergence_virtual_us"] = lease->entry->convergence_time.count_micros();
   result["messages"] = lease->entry->messages;
   return Response::success(request.id, std::move(result));
+}
+
+util::Result<std::shared_ptr<const emu::Topology>> VerificationService::find_upload(
+    const std::string& tenant, const std::string& id) {
+  std::lock_guard<std::mutex> lock(uploads_mutex_);
+  auto it = uploads_.find(tenant + "/" + id);
+  if (it == uploads_.end())
+    return util::not_found("no uploaded topology '" + id + "' in tenant '" + tenant +
+                           "'; call upload_configs first");
+  return it->second;
 }
 
 util::Result<SnapshotStore::Lease> VerificationService::resolve_snapshot(
@@ -326,30 +313,12 @@ Response VerificationService::fork_scenario(const Request& request, util::Json& 
       content_check_for_fork(base_entry->content_check, *perturbations);
   util::Result<SnapshotStore::Lease> lease = store_.get_or_build(
       request.tenant_or_default(), key,
-      [this, &base_entry, &perturbations, &id, parent_span]()
-               -> util::Result<std::unique_ptr<StoredSnapshot>> {
+      [this, &base_entry, &perturbations, &id, parent_span]() {
         obs::TraceSpan converge(spans_, "converge", parent_span);
         converge.attr("snapshot", id);
-        std::unique_ptr<emu::Emulation> fork = base_entry->emulation->fork();
-        if (fork == nullptr)
-          return util::failed_precondition(
-              "base emulation is not quiescent; cannot fork");
-        util::TimePoint forked_at = fork->kernel().now();
-        for (const scenario::Perturbation& perturbation : *perturbations)
-          if (!scenario::ScenarioRunner::apply(*fork, perturbation))
-            return util::not_found("perturbation target missing: " +
-                                   scenario::perturbation_to_string(perturbation));
-        if (!fork->run_to_convergence(options_.max_events))
-          return util::internal_error("fork '" + id +
-                                      "' did not re-converge within the event budget");
-        auto entry = std::make_unique<StoredSnapshot>();
-        entry->convergence_time = fork->kernel().now() - forked_at;
-        entry->messages = fork->messages_delivered();
-        entry->graph =
-            std::make_unique<verify::ForwardingGraph>(gnmi::Snapshot::capture(*fork, id));
-        entry->emulation = std::move(fork);
-        entry->cache = std::make_unique<verify::TraceCache>(*entry->graph, metrics_);
-        return entry;
+        return make_entry(scenario::VerifiedState::fork(
+            *base_entry->emulation, *perturbations, id,
+            {options_.emulation, options_.max_events, metrics_}));
       }, content_check);
   if (!lease.ok()) return Response::failure(request.id, lease.status());
   timing["converge_us"] = lease->hit ? int64_t{0} : elapsed_us(converge_start);
@@ -398,19 +367,11 @@ Response VerificationService::explore(const Request& request, util::Json& timing
     // scratch under a different delivery schedule.
     util::Result<std::string> id = string_param(request, "submission");
     if (!id.ok()) return Response::failure(request.id, id.status());
-    std::shared_ptr<const emu::Topology> topology;
-    {
-      std::lock_guard<std::mutex> lock(uploads_mutex_);
-      auto it = uploads_.find(request.tenant_or_default() + "/" + *id);
-      if (it != uploads_.end()) topology = it->second;
-    }
-    if (topology == nullptr)
-      return Response::failure(
-          request.id, util::not_found("no uploaded topology '" + *id + "' in tenant '" +
-                                      request.tenant_or_default() +
-                                      "'; call upload_configs first"));
+    util::Result<std::shared_ptr<const emu::Topology>> topology =
+        find_upload(request.tenant_or_default(), *id);
+    if (!topology.ok()) return Response::failure(request.id, topology.status());
     boot_base = std::make_unique<emu::Emulation>(options_.emulation);
-    util::Status status = boot_base->add_topology(*topology);
+    util::Status status = boot_base->add_topology(**topology);
     if (!status.ok()) return Response::failure(request.id, status);
     input.base = boot_base.get();
     input.start = true;

@@ -127,6 +127,10 @@ class VerificationService {
   Response stats(const Request& request);
   Response metrics_snapshot(const Request& request);
 
+  /// The topology `tenant` uploaded as `id`; NOT_FOUND when there is none.
+  util::Result<std::shared_ptr<const emu::Topology>> find_upload(const std::string& tenant,
+                                                                 const std::string& id);
+
   /// Resolves a "<field>": "<snapshot id>" param to a pinned store entry.
   util::Result<SnapshotStore::Lease> resolve_snapshot(const Request& request,
                                                       const char* field);

@@ -73,6 +73,12 @@ uint64_t content_check_for_fork(uint64_t parent_check,
   return check == 0 ? 1 : check;
 }
 
+util::Result<std::unique_ptr<StoredSnapshot>> make_entry(
+    util::Result<scenario::VerifiedState> state) {
+  if (!state.ok()) return state.status();
+  return std::make_unique<StoredSnapshot>(std::move(*state));
+}
+
 SnapshotStore::SnapshotStore(StoreOptions options) : options_(options) {
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry& metrics = *options_.metrics;

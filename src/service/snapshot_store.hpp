@@ -12,11 +12,11 @@
 // what-if that differs only in its perturbations forks from the cached
 // base instead of cold-booting (DESIGN.md §7).
 //
-// Entries carry everything a query needs — the live emulation (kept
-// quiescent, fork()-able for further what-ifs), the ForwardingGraph with
-// the captured gnmi::Snapshot it owns, and a shared thread-safe
-// TraceCache so concurrent requests on one snapshot amortize trace work
-// across each other.
+// Entries carry everything a query needs — a scenario::VerifiedState: the
+// live emulation (kept quiescent, fork()-able for further what-ifs), the
+// ForwardingGraph with the captured gnmi::Snapshot it owns, and a shared
+// thread-safe TraceCache so concurrent requests on one snapshot amortize
+// trace work across each other.
 //
 // Retention is byte-budget LRU. Eviction only drops the store's
 // reference: in-flight requests hold shared_ptr leases, so an evicted
@@ -44,14 +44,10 @@
 #include <string>
 #include <vector>
 
-#include "emu/emulation.hpp"
 #include "emu/topology.hpp"
-#include "gnmi/gnmi.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/scenario.hpp"
 #include "util/status.hpp"
-#include "verify/forwarding_graph.hpp"
-#include "verify/trace_cache.hpp"
 
 namespace mfv::service {
 
@@ -94,17 +90,17 @@ uint64_t content_check_for_topology(const emu::Topology& topology);
 uint64_t content_check_for_fork(uint64_t parent_check,
                                 const std::vector<scenario::Perturbation>& perturbations);
 
-/// One converged network state plus the machinery to query and fork it.
-struct StoredSnapshot {
+/// One stored network state: a VerifiedState (the quiescent emulation a
+/// what-if forks from, the graph and the shared thread-safe TraceCache)
+/// plus the store's bookkeeping.
+struct StoredSnapshot : scenario::VerifiedState {
+  StoredSnapshot() = default;
+  explicit StoredSnapshot(scenario::VerifiedState state)
+      : scenario::VerifiedState(std::move(state)) {}
+
   SnapshotKey key;
   /// Namespace the entry was built under (stamped by the store).
   std::string tenant;
-  /// Quiescent post-convergence emulation; fork() source for what-ifs.
-  std::unique_ptr<emu::Emulation> emulation;
-  /// Compiled dataplane; owns the captured snapshot (graph->snapshot()).
-  std::unique_ptr<verify::ForwardingGraph> graph;
-  /// Thread-safe; shared by every request that leases this entry.
-  std::unique_ptr<verify::TraceCache> cache;
   /// Independent content fingerprint (stamped by the store from the
   /// get_or_build argument; 0 = unchecked). Distinguishes genuine content
   /// identity from a SnapshotKey collision on later hits.
@@ -112,10 +108,11 @@ struct StoredSnapshot {
   /// Retention charge (the graph's snapshot JSON size unless the builder
   /// set it).
   size_t bytes = 0;
-  /// Virtual convergence time and control-plane messages of the build.
-  util::Duration convergence_time;
-  uint64_t messages = 0;
 };
+
+/// A built state as a store entry, or the build's failure.
+util::Result<std::unique_ptr<StoredSnapshot>> make_entry(
+    util::Result<scenario::VerifiedState> state);
 
 struct StoreOptions {
   /// Byte budget for retained entries; the most recently used entry is

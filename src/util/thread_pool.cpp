@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 
@@ -59,62 +60,39 @@ void ThreadPool::worker_loop() {
   }
 }
 
-namespace {
-
 /// Workers pull shard indices from a shared counter; results are keyed by
 /// shard index in the caller, so the pull order is invisible downstream.
-void run_shards(ThreadPool* pool, unsigned inline_threads, size_t shards,
-                const std::function<void(size_t)>& fn) {
+void parallel_for_shards(unsigned threads, size_t shards,
+                         const std::function<void(size_t)>& fn) {
   if (shards == 0) return;
-  unsigned threads = pool ? pool->size() : inline_threads;
+  if (threads == 0) threads = ThreadPool::default_threads();
   if (threads <= 1 || shards == 1) {
     for (size_t shard = 0; shard < shards; ++shard) fn(shard);
     return;
   }
 
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  auto error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
-  auto drain = [next, error, error_mutex, shards, &fn] {
-    for (size_t shard = next->fetch_add(1); shard < shards;
-         shard = next->fetch_add(1)) {
+  std::atomic<size_t> next{0};
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  auto drain = [&] {
+    for (size_t shard = next.fetch_add(1); shard < shards; shard = next.fetch_add(1)) {
       try {
         fn(shard);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!*error) *error = std::current_exception();
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
       }
     }
   };
 
-  unsigned helpers = threads - 1;  // the caller drains too
-  if (static_cast<size_t>(helpers) > shards - 1)
-    helpers = static_cast<unsigned>(shards - 1);
-  if (pool) {
-    for (unsigned i = 0; i < helpers; ++i) pool->submit(drain);
-    drain();
-    pool->wait_idle();
-  } else {
-    std::vector<std::thread> crew;
-    crew.reserve(helpers);
-    for (unsigned i = 0; i < helpers; ++i) crew.emplace_back(drain);
-    drain();
-    for (std::thread& helper : crew) helper.join();
-  }
-  if (*error) std::rethrow_exception(*error);
-}
-
-}  // namespace
-
-void parallel_for_shards(unsigned threads, size_t shards,
-                         const std::function<void(size_t)>& fn) {
-  if (threads == 0) threads = ThreadPool::default_threads();
-  run_shards(nullptr, threads, shards, fn);
-}
-
-void parallel_for_shards(ThreadPool& pool, size_t shards,
-                         const std::function<void(size_t)>& fn) {
-  run_shards(&pool, 0, shards, fn);
+  // The caller drains too.
+  const size_t helpers = std::min<size_t>(threads - 1, shards - 1);
+  std::vector<std::thread> crew;
+  crew.reserve(helpers);
+  for (size_t i = 0; i < helpers; ++i) crew.emplace_back(drain);
+  drain();
+  for (std::thread& helper : crew) helper.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace mfv::util

@@ -61,8 +61,4 @@ class ThreadPool {
 void parallel_for_shards(unsigned threads, size_t shards,
                          const std::function<void(size_t)>& fn);
 
-/// Same, reusing an existing pool (the pool's size caps the parallelism).
-void parallel_for_shards(ThreadPool& pool, size_t shards,
-                         const std::function<void(size_t)>& fn);
-
 }  // namespace mfv::util

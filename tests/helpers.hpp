@@ -4,10 +4,27 @@
 
 #include <string>
 
+#include "aft/aft.hpp"
 #include "config/device_config.hpp"
 #include "emu/emulation.hpp"
 
 namespace mfv::test {
+
+/// A discard route for `prefix` in the default instance.
+inline config::StaticRoute null_route(const net::Ipv4Prefix& prefix) {
+  config::StaticRoute route;
+  route.prefix = prefix;
+  route.null_route = true;
+  return route;
+}
+
+/// An up default-instance interface with address `cidr` and no filters.
+inline aft::InterfaceState interface_state(const std::string& name, const std::string& cidr) {
+  aft::InterfaceState state;
+  state.name = name;
+  state.address = net::InterfaceAddress::parse(cidr);
+  return state;
+}
 
 inline config::DeviceConfig base_router(const std::string& name, int index,
                                         bool isis = true) {

@@ -17,7 +17,7 @@ net::Ipv4Address addr(const std::string& text) { return *net::Ipv4Address::parse
 net::Ipv4Prefix pfx(const std::string& text) { return *net::Ipv4Prefix::parse(text); }
 
 void originate(config::DeviceConfig& config, const std::string& prefix) {
-  config.static_routes.push_back({pfx(prefix), std::nullopt, std::nullopt, true, 1});
+  config.static_routes.push_back(test::null_route(pfx(prefix)));
   config.bgp.networks.push_back({pfx(prefix), std::nullopt});
 }
 

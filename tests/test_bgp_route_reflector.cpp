@@ -20,7 +20,7 @@ net::Ipv4Prefix pfx(const std::string& text) { return *net::Ipv4Prefix::parse(te
 net::Ipv4Address addr(const std::string& text) { return *net::Ipv4Address::parse(text); }
 
 void originate(config::DeviceConfig& config, const std::string& prefix) {
-  config.static_routes.push_back({pfx(prefix), std::nullopt, std::nullopt, true, 1});
+  config.static_routes.push_back(test::null_route(pfx(prefix)));
   config.bgp.networks.push_back({pfx(prefix), std::nullopt});
 }
 
@@ -176,8 +176,7 @@ TEST(RouteReflector, ModelBaselineAgreesOnReflection) {
       config.bgp.neighbors.push_back(neighbor);
     }
     if (originate_prefix) {
-      config.static_routes.push_back(
-          {pfx("203.0.113.0/24"), std::nullopt, std::nullopt, true, 1});
+      config.static_routes.push_back(test::null_route(pfx("203.0.113.0/24")));
       config.bgp.networks.push_back({pfx("203.0.113.0/24"), std::nullopt});
     }
     return emu::NodeSpec{name, config::Vendor::kCeos, config::write_config(config)};

@@ -146,8 +146,7 @@ std::unique_ptr<emu::Emulation> race_emulation(bool reversed) {
     neighbor.peer = addr(peer);
     neighbor.remote_as = 65000;
     config.bgp.neighbors.push_back(neighbor);
-    config.static_routes.push_back(
-        {prefix("203.0.113.0/24"), std::nullopt, std::nullopt, true, 1});
+    config.static_routes.push_back(test::null_route(prefix("203.0.113.0/24")));
     config.bgp.networks.push_back({prefix("203.0.113.0/24"), std::nullopt});
     return config;
   };

@@ -10,6 +10,7 @@
 
 #include "emu/emulation.hpp"
 #include "explore/explore.hpp"
+#include "helpers.hpp"
 #include "obs/metrics.hpp"
 #include "util/hash.hpp"
 
@@ -37,8 +38,7 @@ config::DeviceConfig advertiser(const std::string& name, int index, net::AsNumbe
   neighbor.peer = addr(peer);
   neighbor.remote_as = 65000;
   config.bgp.neighbors.push_back(neighbor);
-  config.static_routes.push_back(
-      {prefix("203.0.113.0/24"), std::nullopt, std::nullopt, true, 1});
+  config.static_routes.push_back(test::null_route(prefix("203.0.113.0/24")));
   config.bgp.networks.push_back({prefix("203.0.113.0/24"), std::nullopt});
   return config;
 }

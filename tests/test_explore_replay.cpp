@@ -10,6 +10,7 @@
 
 #include "emu/emulation.hpp"
 #include "explore/explore.hpp"
+#include "helpers.hpp"
 #include "util/hash.hpp"
 
 namespace mfv::explore {
@@ -52,8 +53,7 @@ std::unique_ptr<emu::Emulation> contested_base() {
   };
 
   config::DeviceConfig sink = peer_base("SINK", 1, 65001, "100.64.0.0/31", "100.64.0.1");
-  sink.static_routes.push_back(
-      {prefix("203.0.113.0/24"), std::nullopt, std::nullopt, true, 1});
+  sink.static_routes.push_back(test::null_route(prefix("203.0.113.0/24")));
 
   config::DeviceConfig origin =
       peer_base("ORIGIN", 2, 65002, "100.64.0.2/31", "100.64.0.3");

@@ -69,7 +69,7 @@ TEST_F(Fig2Test, DifferentialReachabilityFindsAs3ToAs2Loss) {
       if (row.source == source && row.destination.contains(*address)) found = true;
     EXPECT_TRUE(found) << source << " -> " << dst << " regression not reported";
   };
-  for (const std::string& source : {"R3", "R4", "R6"}) {
+  for (std::string source : {"R3", "R4", "R6"}) {
     expect_regression(source, workload::fig2_loopback(2));  // AS2
     expect_regression(source, workload::fig2_loopback(5));  // AS2
     expect_regression(source, workload::fig2_loopback(1));  // AS1 beyond AS2

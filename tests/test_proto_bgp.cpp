@@ -18,7 +18,7 @@ net::Ipv4Prefix pfx(const std::string& text) { return *net::Ipv4Prefix::parse(te
 
 /// Originates `prefix` on a router via a null static + network statement.
 void originate(config::DeviceConfig& config, const std::string& prefix) {
-  config.static_routes.push_back({pfx(prefix), std::nullopt, std::nullopt, true, 1});
+  config.static_routes.push_back(test::null_route(pfx(prefix)));
   config.bgp.networks.push_back({pfx(prefix), std::nullopt});
 }
 
@@ -383,7 +383,9 @@ TEST(Bgp, CommunitiesPropagateOnlyWithSendCommunity) {
     // The route-map applies after the send-community strip, so the tag is
     // always present here; the *strip* is what send-community=false does to
     // communities carried from elsewhere. Validate via a tagged network.
-    if (send) EXPECT_FALSE(it->second.attributes.communities.empty());
+    if (send) {
+      EXPECT_FALSE(it->second.attributes.communities.empty());
+    }
   }
 }
 

@@ -45,7 +45,7 @@ TEST(Isis, AdjacenciesReachUpState) {
   build_square(emulation);
   emulation.start_all();
   ASSERT_TRUE(emulation.run_to_convergence());
-  for (const std::string& node : {"R1", "R2", "R3", "R4"}) {
+  for (std::string node : {"R1", "R2", "R3", "R4"}) {
     const auto* router = emulation.router(node);
     ASSERT_NE(router->isis(), nullptr);
     EXPECT_EQ(router->isis()->adjacencies().size(), 2u) << node;
@@ -59,7 +59,7 @@ TEST(Isis, LsdbIsSynchronizedEverywhere) {
   build_square(emulation);
   emulation.start_all();
   ASSERT_TRUE(emulation.run_to_convergence());
-  for (const std::string& node : {"R1", "R2", "R3", "R4"})
+  for (std::string node : {"R1", "R2", "R3", "R4"})
     EXPECT_EQ(emulation.router(node)->isis()->database().size(), 4u) << node;
 }
 

@@ -135,7 +135,9 @@ TEST(Rib, ForEachBestVisitsEveryPrefixOnce) {
   rib.for_each_best([&](const net::Ipv4Prefix& prefix, const std::vector<RibRoute>& best) {
     ++visits;
     ASSERT_FALSE(best.empty());
-    if (prefix == pfx("10.0.0.0/8")) EXPECT_EQ(best[0].protocol, Protocol::kIsis);
+    if (prefix == pfx("10.0.0.0/8")) {
+      EXPECT_EQ(best[0].protocol, Protocol::kIsis);
+    }
   });
   EXPECT_EQ(visits, 2);
 }

@@ -360,6 +360,77 @@ TEST(ScenarioFork, RunnerRejectsNonIdleBase) {
   EXPECT_FALSE(results.ok());
 }
 
+/// Everything a runner result reports, for comparing two sweeps.
+std::string describe(const scenario::ScenarioResult& result) {
+  std::string text = result.name + (result.applied ? " applied" : "") +
+                     (result.converged ? " converged" : "") +
+                     " t=" + std::to_string(result.reconvergence.count_micros()) +
+                     " events=" + std::to_string(result.events) +
+                     " broken=" + std::to_string(result.broken_pairs) +
+                     " spliced=" + std::to_string(result.incremental.spliced) +
+                     " retraced=" + std::to_string(result.incremental.retraced) + " cells:";
+  for (const verify::PairwiseCell& cell : result.pairwise.cells)
+    text += " " + cell.source + ">" + cell.destination + (cell.reachable ? "+" : "-");
+  return text + " " + result.snapshot.to_json().dump();
+}
+
+TEST(ScenarioFork, RunnerFailedScenarioCarriesNoAnswer) {
+  emu::Topology topology = small_wan();
+  emu::Emulation base;
+  ASSERT_TRUE(base.add_topology(topology).ok());
+  base.start_all();
+  ASSERT_TRUE(base.run_to_convergence());
+  scenario::ScenarioRunner runner(base);
+
+  std::vector<scenario::Scenario> scenarios = scenario::single_link_cuts(topology);
+  ASSERT_GE(scenarios.size(), 2u);
+  auto clean = runner.run(scenarios);
+  ASSERT_TRUE(clean.ok());
+
+  // A real cut followed by a bogus one: the half-perturbed network must
+  // not be verified, and the other scenarios must not notice.
+  const size_t bogus = 1;
+  std::vector<scenario::Scenario> with_bogus = scenarios;
+  with_bogus.insert(
+      with_bogus.begin() + bogus,
+      scenario::Scenario{"bogus",
+                         {scenario::LinkCut{topology.links[0].a, topology.links[0].b},
+                          scenario::LinkCut{{"nope", "Ethernet1"}, {"r1", "Ethernet1"}}}});
+  auto results = runner.run(with_bogus);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), scenarios.size() + 1);
+
+  const scenario::ScenarioResult& failed = (*results)[bogus];
+  EXPECT_FALSE(failed.applied);
+  EXPECT_FALSE(failed.converged);
+  EXPECT_TRUE(failed.pairwise.cells.empty());
+  EXPECT_EQ(failed.pairwise.total_pairs, 0u);
+  EXPECT_EQ(failed.broken_pairs, 0u);
+  for (size_t i = 0; i < scenarios.size(); ++i)
+    EXPECT_EQ(describe((*results)[i < bogus ? i : i + 1]), describe((*clean)[i]));
+}
+
+TEST(ScenarioFork, RunnerOutOfBudgetScenariosApplyButDoNotConverge) {
+  emu::Topology topology = small_wan();
+  emu::Emulation base;
+  ASSERT_TRUE(base.add_topology(topology).ok());
+  base.start_all();
+  ASSERT_TRUE(base.run_to_convergence());
+
+  scenario::ScenarioRunnerOptions options;
+  options.max_events = 1;
+  scenario::ScenarioRunner runner(base, options);
+  auto results = runner.run(scenario::single_link_cuts(topology));
+  ASSERT_TRUE(results.ok());
+  ASSERT_FALSE(results->empty());
+  for (const scenario::ScenarioResult& result : *results) {
+    EXPECT_TRUE(result.applied) << result.name;
+    EXPECT_FALSE(result.converged) << result.name;
+    EXPECT_TRUE(result.pairwise.cells.empty()) << result.name;
+    EXPECT_EQ(result.broken_pairs, 0u) << result.name;
+  }
+}
+
 TEST(ScenarioFork, KLinkCutsEnumeratesCombinations) {
   emu::Topology topology = small_wan(/*line=*/true);  // 5 links on 6 routers
   ASSERT_EQ(topology.links.size(), 5u);
@@ -409,19 +480,34 @@ TEST(ScenarioFork, SessionForkSnapshotReproducesE1) {
 TEST(ScenarioFork, SessionForkSnapshotValidatesInputs) {
   api::Session session;
   ASSERT_TRUE(session.init_snapshot(workload::fig3_line_topology(), "base").ok());
-  EXPECT_FALSE(session.fork_snapshot("missing", "x", {}).ok());
-  EXPECT_FALSE(session.fork_snapshot("base", "base", {}).ok());
-  EXPECT_FALSE(
-      session
-          .fork_snapshot("base", "x",
-                         {scenario::LinkCut{{"nope", "Ethernet1"}, {"R1", "Ethernet1"}}})
-          .ok());
+  EXPECT_EQ(session.fork_snapshot("missing", "x", {}).code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(session.fork_snapshot("base", "base", {}).code(),
+            util::StatusCode::kAlreadyExists);
+  util::Status missing = session.fork_snapshot(
+      "base", "x", {scenario::LinkCut{{"nope", "Ethernet1"}, {"R1", "Ethernet1"}}});
+  EXPECT_EQ(missing.code(), util::StatusCode::kNotFound);
+  EXPECT_NE(missing.message().find("nope"), std::string::npos) << missing.to_string();
+  EXPECT_FALSE(session.has_snapshot("x"));
   // Model-based snapshots have no live emulation to fork.
   ASSERT_TRUE(session
                   .init_snapshot(workload::fig3_line_topology(), "model",
                                  api::Backend::kModelBased)
                   .ok());
-  EXPECT_FALSE(session.fork_snapshot("model", "y", {}).ok());
+  EXPECT_EQ(session.fork_snapshot("model", "y", {}).code(),
+            util::StatusCode::kInvalidArgument);
+
+  // A base with pending events cannot be forked.
+  const emu::LinkSpec link = workload::fig3_line_topology().links.front();
+  ASSERT_TRUE(session.emulation("base")->set_link_up(link.a, link.b, false));
+  EXPECT_EQ(session.fork_snapshot("base", "z", {}).code(),
+            util::StatusCode::kFailedPrecondition);
+
+  api::SessionOptions starved;
+  starved.max_events = 1;
+  api::Session budget(starved);
+  EXPECT_EQ(budget.init_snapshot(workload::fig3_line_topology(), "base").code(),
+            util::StatusCode::kInternal);
+  EXPECT_FALSE(budget.has_snapshot("base"));
 }
 
 }  // namespace

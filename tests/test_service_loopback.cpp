@@ -443,5 +443,35 @@ TEST(ServiceLoopback, DirectExecuteMatchesWire) {
   EXPECT_EQ(direct.result.find("answer")->dump(), wire->result.find("answer")->dump());
 }
 
+TEST(ServiceLoopback, BuildFailuresKeepTheirStatusCodes) {
+  emu::Topology topology = test_topology();
+  Request upload = make_request(1, "upload_configs");
+  upload.params["topology"] = topology.to_json();
+  Request snapshot = make_request(2, "snapshot");
+
+  VerificationService service;
+  Response uploaded = service.execute(upload);
+  ASSERT_TRUE(uploaded.ok()) << uploaded.status().to_string();
+  snapshot.params["submission"] = uploaded.result.find("submission")->as_string();
+  ASSERT_TRUE(service.execute(snapshot).ok());
+
+  Request fork = make_request(3, "fork_scenario");
+  fork.params["base"] = snapshot.params.find("submission")->as_string();
+  util::Json perturbations = util::Json::array();
+  perturbations.push_back(scenario::perturbation_to_json(
+      scenario::LinkCut{{"nope", "Ethernet1"}, topology.links[0].b}));
+  fork.params["perturbations"] = perturbations;
+  Response missing = service.execute(fork);
+  EXPECT_EQ(missing.code, util::StatusCode::kNotFound) << missing.status().to_string();
+  EXPECT_NE(missing.error.find("nope"), std::string::npos) << missing.error;
+
+  ServiceOptions starved_options;
+  starved_options.max_events = 1;
+  VerificationService starved(starved_options);
+  ASSERT_TRUE(starved.execute(upload).ok());
+  Response budget = starved.execute(snapshot);
+  EXPECT_EQ(budget.code, util::StatusCode::kInternal) << budget.status().to_string();
+}
+
 }  // namespace
 }  // namespace mfv::service

@@ -26,10 +26,11 @@ TEST(Reachability, ExhaustiveOverAllClasses) {
   EXPECT_EQ(result.flows, result.classes * 3);  // 3 sources
   // Every loopback class is ACCEPTED from everywhere.
   for (const ReachabilityRow& row : result.rows) {
-    for (const std::string& loopback : {"2.2.2.1", "2.2.2.2", "2.2.2.3"}) {
-      if (row.destination.contains(addr(loopback)))
+    for (std::string loopback : {"2.2.2.1", "2.2.2.2", "2.2.2.3"}) {
+      if (row.destination.contains(addr(loopback))) {
         EXPECT_TRUE(row.dispositions.contains(Disposition::kAccepted))
             << row.source << " -> " << loopback;
+      }
     }
   }
 }

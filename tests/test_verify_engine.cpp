@@ -3,6 +3,7 @@
 // snapshots.
 #include <gtest/gtest.h>
 
+#include "helpers.hpp"
 #include "util/rng.hpp"
 #include "verify/queries.hpp"
 
@@ -89,7 +90,7 @@ gnmi::Snapshot tiny_snapshot() {
 
   aft::DeviceAft a;
   a.node = "A";
-  a.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse("10.0.0.0/31"), true};
+  a.interfaces["eth0"] = test::interface_state("eth0", "10.0.0.0/31");
   {
     aft::NextHop to_b;
     to_b.ip_address = addr("10.0.0.1");
@@ -117,8 +118,8 @@ gnmi::Snapshot tiny_snapshot() {
 
   aft::DeviceAft b;
   b.node = "B";
-  b.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse("10.0.0.1/31"), true};
-  b.interfaces["stub"] = {"stub", net::InterfaceAddress::parse("203.0.113.1/24"), true};
+  b.interfaces["eth0"] = test::interface_state("eth0", "10.0.0.1/31");
+  b.interfaces["stub"] = test::interface_state("stub", "203.0.113.1/24");
   {
     aft::NextHop attached;
     attached.interface = "stub";

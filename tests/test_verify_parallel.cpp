@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "fuzz/oracles.hpp"
+#include "helpers.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/queries.hpp"
@@ -90,8 +91,9 @@ TEST(ThreadPool, ReusableAcrossSweeps) {
   EXPECT_EQ(pool.size(), 4u);
   for (int round = 0; round < 3; ++round) {
     std::vector<int> slots(100, -1);
-    util::parallel_for_shards(pool, slots.size(),
-                              [&](size_t shard) { slots[shard] = round; });
+    for (size_t shard = 0; shard < slots.size(); ++shard)
+      pool.submit([&slots, shard, round] { slots[shard] = round; });
+    pool.wait_idle();
     for (int value : slots) EXPECT_EQ(value, round);
   }
 }
@@ -203,7 +205,7 @@ gnmi::Snapshot chain_snapshot(bool null_route_on_b) {
 
   aft::DeviceAft a;
   a.node = "A";
-  a.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse("10.0.0.0/31"), true};
+  a.interfaces["eth0"] = test::interface_state("eth0", "10.0.0.0/31");
   {
     aft::NextHop to_b;
     to_b.ip_address = addr("10.0.0.1");
@@ -215,8 +217,8 @@ gnmi::Snapshot chain_snapshot(bool null_route_on_b) {
 
   aft::DeviceAft b;
   b.node = "B";
-  b.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse("10.0.0.1/31"), true};
-  b.interfaces["eth1"] = {"eth1", net::InterfaceAddress::parse("10.0.1.0/31"), true};
+  b.interfaces["eth0"] = test::interface_state("eth0", "10.0.0.1/31");
+  b.interfaces["eth1"] = test::interface_state("eth1", "10.0.1.0/31");
   {
     aft::NextHop hop;
     if (null_route_on_b) {
@@ -232,8 +234,8 @@ gnmi::Snapshot chain_snapshot(bool null_route_on_b) {
 
   aft::DeviceAft c;
   c.node = "C";
-  c.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse("10.0.1.1/31"), true};
-  c.interfaces["stub"] = {"stub", net::InterfaceAddress::parse("203.0.113.1/24"), true};
+  c.interfaces["eth0"] = test::interface_state("eth0", "10.0.1.1/31");
+  c.interfaces["stub"] = test::interface_state("stub", "203.0.113.1/24");
   {
     aft::NextHop attached;
     attached.interface = "stub";
@@ -319,7 +321,7 @@ TEST(TraceCache, NestedLabelCycleMatchesLegacyWalker) {
   auto make = [&](const std::string& node, const std::string& address) {
     aft::DeviceAft device;
     device.node = node;
-    device.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse(address), true};
+    device.interfaces["eth0"] = test::interface_state("eth0", address);
     return device;
   };
   auto labeled_hop = [&](const std::string& ip, aft::LabelOp op, uint32_t label) {
@@ -358,7 +360,7 @@ TEST(TraceCache, NestedLabelCycleMatchesLegacyWalker) {
   snapshot.devices["r3"] = std::move(r3);
 
   aft::DeviceAft r4 = make("r4", "10.0.0.4/24");
-  r4.interfaces["lo0"] = {"lo0", net::InterfaceAddress::parse("99.0.0.1/32"), true};
+  r4.interfaces["lo0"] = test::interface_state("lo0", "99.0.0.1/32");
   r4.aft.set_label_entry(
       {3, r4.aft.add_group(r4.aft.add_next_hop(
               labeled_hop("", aft::LabelOp::kPop, 0)))});
@@ -385,7 +387,7 @@ TEST(TraceCache, MemoFootprintRespectsNodeBasedLoops) {
   auto make = [&](const std::string& node, const std::string& address) {
     aft::DeviceAft device;
     device.node = node;
-    device.interfaces["eth0"] = {"eth0", net::InterfaceAddress::parse(address), true};
+    device.interfaces["eth0"] = test::interface_state("eth0", address);
     return device;
   };
   auto labeled_hop = [&](const std::string& ip, aft::LabelOp op, uint32_t label) {

@@ -9,6 +9,7 @@
 
 #include <sstream>
 
+#include "helpers.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/queries.hpp"
 #include "verify/trace_cache.hpp"
@@ -36,15 +37,12 @@ gnmi::Snapshot fabric_snapshot(int nodes) {
     aft::DeviceAft device;
     device.node = name(i);
     int prev = (i + nodes - 1) % nodes;
-    device.interfaces["Loopback0"] = {
-        "Loopback0", net::InterfaceAddress::parse(cidr(i, ".1/32").insert(0, "10.1.")),
-        true};
-    device.interfaces["eth-next"] = {
-        "eth-next", net::InterfaceAddress::parse("10.2." + std::to_string(i) + ".0/31"),
-        true};
-    device.interfaces["eth-prev"] = {
-        "eth-prev",
-        net::InterfaceAddress::parse("10.2." + std::to_string(prev) + ".1/31"), true};
+    device.interfaces["Loopback0"] =
+        test::interface_state("Loopback0", cidr(i, ".1/32").insert(0, "10.1."));
+    device.interfaces["eth-next"] =
+        test::interface_state("eth-next", "10.2." + std::to_string(i) + ".0/31");
+    device.interfaces["eth-prev"] =
+        test::interface_state("eth-prev", "10.2." + std::to_string(prev) + ".1/31");
 
     aft::NextHop clockwise;
     clockwise.ip_address = addr("10.2." + std::to_string(i) + ".1");
@@ -132,7 +130,9 @@ TEST(VerifyTsan, ConcurrentWarmOfTheSameClassComputesOnce) {
         addr("10.1." + std::to_string(shard % 12) + ".1");
     cache.warm(destination);
     DispositionSet set = cache.dispositions("r0", destination);
-    if (shard % 12 != 0) EXPECT_TRUE(set.contains(Disposition::kAccepted));
+    if (shard % 12 != 0) {
+      EXPECT_TRUE(set.contains(Disposition::kAccepted));
+    }
   });
   EXPECT_EQ(cache.classes_cached(), 12u);
 }

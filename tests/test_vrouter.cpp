@@ -80,10 +80,11 @@ TEST(VirtualRouter, StaticRouteVariantsReachFib) {
   emu::Emulation emulation;
   auto r1 = base_router("R1", 1, false);
   wire(r1, 1, "100.64.0.0/31", false);
-  r1.static_routes.push_back(
-      {pfx("0.0.0.0/0"), std::nullopt, std::nullopt, /*null_route=*/true, 1});
-  r1.static_routes.push_back(
-      {pfx("198.51.100.0/24"), addr("100.64.0.1"), std::nullopt, false, 1});
+  r1.static_routes.push_back(test::null_route(pfx("0.0.0.0/0")));
+  config::StaticRoute via_next_hop;
+  via_next_hop.prefix = pfx("198.51.100.0/24");
+  via_next_hop.next_hop = addr("100.64.0.1");
+  r1.static_routes.push_back(via_next_hop);
   auto r2 = base_router("R2", 2, false);
   wire(r2, 1, "100.64.0.1/31", false);
   emulation.add_router(std::move(r1));
@@ -180,8 +181,7 @@ TEST(VirtualRouter, ReachableSemantics) {
   emu::Emulation emulation;
   auto r1 = base_router("R1", 1);
   wire(r1, 1, "100.64.0.0/31");
-  r1.static_routes.push_back(
-      {pfx("192.0.2.0/24"), std::nullopt, std::nullopt, /*null_route=*/true, 1});
+  r1.static_routes.push_back(test::null_route(pfx("192.0.2.0/24")));
   auto r2 = base_router("R2", 2);
   wire(r2, 1, "100.64.0.1/31");
   emulation.add_router(std::move(r1));
