@@ -1,92 +1,101 @@
 #include "aft/aft.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 namespace mfv::aft {
 
+namespace {
+
+/// The record in a key-sorted table whose key is `key`, or null.
+template <typename Record, typename Key, typename Field>
+const Record* find_record(const std::vector<Record>& table, const Key& key, Field field) {
+  auto it = std::ranges::lower_bound(table, key, {}, field);
+  return it == table.end() || std::invoke(field, *it) != key ? nullptr : &*it;
+}
+
+/// Inserts `record` at its key's place in a key-sorted table, replacing the
+/// record with an equal key.
+template <typename Record, typename Field>
+void set_record(std::vector<Record>& table, Record record, Field field) {
+  auto it = std::ranges::lower_bound(table, std::invoke(field, record), {}, field);
+  if (it != table.end() && std::invoke(field, *it) == std::invoke(field, record))
+    *it = std::move(record);
+  else
+    table.insert(it, std::move(record));
+}
+
+/// Sorts a table parsed in document order by key; of the records sharing a
+/// key, the last one parsed stays.
+template <typename Record, typename Field>
+void sort_keeping_last(std::vector<Record>& table, Field field) {
+  std::ranges::stable_sort(table, {}, field);
+  auto kept = table.begin();
+  for (auto it = table.begin(); it != table.end(); ++it) {
+    auto next = std::next(it);
+    if (next != table.end() && std::invoke(field, *next) == std::invoke(field, *it)) continue;
+    if (kept != it) *kept = std::move(*it);
+    ++kept;
+  }
+  table.erase(kept, table.end());
+}
+
+}  // namespace
+
 uint64_t Aft::add_next_hop(NextHop next_hop) {
-  Tables& tables = mutate();
-  uint64_t index = tables.next_hop_counter++;
-  next_hop.index = index;
-  tables.next_hops[index] = std::move(next_hop);
-  return index;
+  std::vector<NextHop>& next_hops = tables_.mutate().next_hops;
+  next_hop.index = next_hops.empty() ? 1 : next_hops.back().index + 1;
+  next_hops.push_back(std::move(next_hop));
+  return next_hops.back().index;
 }
 
 uint64_t Aft::add_group(std::vector<std::pair<uint64_t, uint64_t>> weighted_next_hops) {
-  Tables& tables = mutate();
-  uint64_t id = tables.group_counter++;
+  std::vector<NextHopGroup>& groups = tables_.mutate().groups;
   NextHopGroup group;
-  group.id = id;
+  group.id = groups.empty() ? 1 : groups.back().id + 1;
   group.next_hops = std::move(weighted_next_hops);
-  tables.groups[id] = std::move(group);
-  return id;
+  groups.push_back(std::move(group));
+  return groups.back().id;
 }
 
 void Aft::set_ipv4_entry(Ipv4Entry entry) {
-  Tables& tables = mutate();
-  tables.ipv4_entries[entry.prefix] = std::move(entry);
+  set_record(tables_.mutate().ipv4_entries, std::move(entry), &Ipv4Entry::prefix);
 }
 
-void Aft::set_label_entry(LabelEntry entry) { mutate().label_entries[entry.label] = entry; }
+void Aft::set_label_entry(LabelEntry entry) {
+  set_record(tables_.mutate().label_entries, entry, &LabelEntry::label);
+}
 
-void Aft::patch(const std::vector<net::Ipv4Prefix>& erase, std::vector<Ipv4Entry> write,
-                std::map<uint64_t, NextHop> next_hops, std::map<uint64_t, NextHopGroup> groups,
-                std::map<uint32_t, LabelEntry> labels) {
-  // Rebuilt in prefix order instead of cloned and edited: a clone lays its
-  // nodes out in tree order, and every later walk of the table (capture,
-  // graph build, FIB diff) pays for the scattered reads. Building costs
-  // the same allocations a clone would.
-  Tables fresh;
-  auto& entries = fresh.ipv4_entries;
-  auto written = write.begin();
-  auto erased = erase.begin();
-  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
-    for (; written != write.end() && written->prefix < prefix; ++written)
-      entries.emplace_hint(entries.end(), written->prefix, std::move(*written));
-    while (erased != erase.end() && *erased < prefix) ++erased;
-    if (written != write.end() && written->prefix == prefix) {
-      entries.emplace_hint(entries.end(), prefix, std::move(*written++));
-    } else if (erased == erase.end() || *erased != prefix) {
-      entries.emplace_hint(entries.end(), prefix, entry);
-    }
-  }
-  for (; written != write.end(); ++written)
-    entries.emplace_hint(entries.end(), written->prefix, std::move(*written));
-  fresh.next_hop_counter = next_hops.empty() ? 1 : next_hops.rbegin()->first + 1;
-  fresh.group_counter = groups.empty() ? 1 : groups.rbegin()->first + 1;
-  fresh.next_hops = std::move(next_hops);
-  fresh.groups = std::move(groups);
-  fresh.label_entries = std::move(labels);
-  tables_ = std::move(fresh);
-  trie_valid_ = false;
+void Aft::replace_tables(std::vector<NextHop> next_hops, std::vector<NextHopGroup> groups,
+                         std::vector<Ipv4Entry> ipv4_entries,
+                         std::vector<LabelEntry> label_entries) {
+  tables_ = Tables{std::move(next_hops), std::move(groups), std::move(ipv4_entries),
+                   std::move(label_entries)};
 }
 
 const NextHop* Aft::next_hop(uint64_t index) const {
-  auto it = tables_->next_hops.find(index);
-  return it == tables_->next_hops.end() ? nullptr : &it->second;
+  return find_record(tables_->next_hops, index, &NextHop::index);
 }
 
 const NextHopGroup* Aft::group(uint64_t id) const {
-  auto it = tables_->groups.find(id);
-  return it == tables_->groups.end() ? nullptr : &it->second;
+  return find_record(tables_->groups, id, &NextHopGroup::id);
 }
 
 const Ipv4Entry* Aft::ipv4_entry(const net::Ipv4Prefix& prefix) const {
-  auto it = tables_->ipv4_entries.find(prefix);
-  return it == tables_->ipv4_entries.end() ? nullptr : &it->second;
+  return find_record(tables_->ipv4_entries, prefix, &Ipv4Entry::prefix);
 }
 
-void Aft::rebuild_trie() const {
-  trie_.clear();
-  for (const auto& [prefix, entry] : tables_->ipv4_entries) trie_.insert(prefix, &entry);
-  trie_valid_ = true;
+const LabelEntry* Aft::label_entry(uint32_t label) const {
+  return find_record(tables_->label_entries, label, &LabelEntry::label);
 }
 
 const Ipv4Entry* Aft::longest_match(net::Ipv4Address destination) const {
-  if (!trie_valid_) rebuild_trie();
-  auto match = trie_.longest_match(destination);
-  return match ? *match->second : nullptr;
+  for (int length = 32; length >= 0; --length)
+    if (const Ipv4Entry* entry =
+            ipv4_entry(net::Ipv4Prefix(destination, static_cast<uint8_t>(length))))
+      return entry;
+  return nullptr;
 }
 
 std::vector<NextHop> Aft::forward(net::Ipv4Address destination) const {
@@ -103,7 +112,7 @@ std::vector<NextHop> Aft::forward(net::Ipv4Address destination) const {
 }
 
 bool Aft::forwarding_equal(const Aft& other) const {
-  if (&*tables_ == &*other.tables_) return true;  // shared storage
+  if (shares_tables(other)) return true;
   if (tables_->ipv4_entries.size() != other.tables_->ipv4_entries.size()) return false;
   if (tables_->label_entries.size() != other.tables_->label_entries.size()) return false;
   auto resolved = [](const Aft& aft, uint64_t group_id) {
@@ -120,17 +129,16 @@ bool Aft::forwarding_equal(const Aft& other) const {
     }
     return actions;
   };
-  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
-    const Ipv4Entry* theirs = other.ipv4_entry(prefix);
+  for (const Ipv4Entry& entry : tables_->ipv4_entries) {
+    const Ipv4Entry* theirs = other.ipv4_entry(entry.prefix);
     if (theirs == nullptr) return false;
     if (resolved(*this, entry.next_hop_group) != resolved(other, theirs->next_hop_group))
       return false;
   }
-  for (const auto& [label, entry] : tables_->label_entries) {
-    auto it = other.tables_->label_entries.find(label);
-    if (it == other.tables_->label_entries.end()) return false;
-    if (resolved(*this, entry.next_hop_group) !=
-        resolved(other, it->second.next_hop_group))
+  for (const LabelEntry& entry : tables_->label_entries) {
+    const LabelEntry* theirs = other.label_entry(entry.label);
+    if (theirs == nullptr) return false;
+    if (resolved(*this, entry.next_hop_group) != resolved(other, theirs->next_hop_group))
       return false;
   }
   return true;
@@ -162,7 +170,7 @@ util::Json Aft::to_json() const {
   Json afts = Json::object();
 
   Json next_hops = Json::array();
-  for (const auto& [index, nh] : tables_->next_hops) {
+  for (const NextHop& nh : tables_->next_hops) {
     Json j = Json::object();
     j["index"] = nh.index;
     if (nh.ip_address) j["ip-address"] = nh.ip_address->to_string();
@@ -177,7 +185,7 @@ util::Json Aft::to_json() const {
   afts["next-hops"] = std::move(next_hops);
 
   Json groups = Json::array();
-  for (const auto& [id, group] : tables_->groups) {
+  for (const NextHopGroup& group : tables_->groups) {
     Json j = Json::object();
     j["id"] = group.id;
     Json members = Json::array();
@@ -193,9 +201,9 @@ util::Json Aft::to_json() const {
   afts["next-hop-groups"] = std::move(groups);
 
   Json entries = Json::array();
-  for (const auto& [prefix, entry] : tables_->ipv4_entries) {
+  for (const Ipv4Entry& entry : tables_->ipv4_entries) {
     Json j = Json::object();
-    j["prefix"] = prefix.to_string();
+    j["prefix"] = entry.prefix.to_string();
     j["next-hop-group"] = entry.next_hop_group;
     j["origin-protocol"] = entry.origin_protocol;
     j["metric"] = entry.metric;
@@ -204,7 +212,7 @@ util::Json Aft::to_json() const {
   afts["ipv4-unicast"] = std::move(entries);
 
   Json labels = Json::array();
-  for (const auto& [label, entry] : tables_->label_entries) {
+  for (const LabelEntry& entry : tables_->label_entries) {
     Json j = Json::object();
     j["label"] = entry.label;
     j["next-hop-group"] = entry.next_hop_group;
@@ -218,7 +226,7 @@ util::Json Aft::to_json() const {
 util::Result<Aft> Aft::from_json(const util::Json& json) {
   if (!json.is_object()) return util::invalid_argument("AFT document must be an object");
   Aft aft;
-  Tables& tables = aft.mutate();
+  Tables& tables = aft.tables_.mutate();
 
   if (const util::Json* next_hops = json.find("next-hops"); next_hops && next_hops->is_array()) {
     for (const util::Json& j : next_hops->as_array()) {
@@ -240,8 +248,7 @@ util::Result<Aft> Aft::from_json(const util::Json& json) {
         if (const util::Json* label = j.find("label"))
           nh.label = static_cast<uint32_t>(label->as_int());
       }
-      tables.next_hops[nh.index] = nh;
-      tables.next_hop_counter = std::max(tables.next_hop_counter, nh.index + 1);
+      tables.next_hops.push_back(std::move(nh));
     }
   }
 
@@ -261,8 +268,7 @@ util::Result<Aft> Aft::from_json(const util::Json& json) {
               weight ? static_cast<uint64_t>(weight->as_int()) : 1);
         }
       }
-      tables.groups[group.id] = std::move(group);
-      tables.group_counter = std::max(tables.group_counter, tables.groups.rbegin()->first + 1);
+      tables.groups.push_back(std::move(group));
     }
   }
 
@@ -281,7 +287,7 @@ util::Result<Aft> Aft::from_json(const util::Json& json) {
         entry.origin_protocol = origin->as_string();
       if (const util::Json* metric = j.find("metric"))
         entry.metric = static_cast<uint32_t>(metric->as_int());
-      tables.ipv4_entries[entry.prefix] = std::move(entry);
+      tables.ipv4_entries.push_back(std::move(entry));
     }
   }
 
@@ -294,10 +300,14 @@ util::Result<Aft> Aft::from_json(const util::Json& json) {
         return util::invalid_argument("label entry missing label or next-hop-group");
       entry.label = static_cast<uint32_t>(label->as_int());
       entry.next_hop_group = static_cast<uint64_t>(nhg->as_int());
-      tables.label_entries[entry.label] = entry;
+      tables.label_entries.push_back(entry);
     }
   }
 
+  sort_keeping_last(tables.next_hops, &NextHop::index);
+  sort_keeping_last(tables.groups, &NextHopGroup::id);
+  sort_keeping_last(tables.ipv4_entries, &Ipv4Entry::prefix);
+  sort_keeping_last(tables.label_entries, &LabelEntry::label);
   return aft;
 }
 

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/ipv4.hpp"
-#include "net/prefix_trie.hpp"
 #include "net/types.hpp"
 #include "util/cow.hpp"
 #include "util/json.hpp"
@@ -67,66 +66,51 @@ struct LabelEntry {
   bool operator==(const LabelEntry&) const = default;
 };
 
-/// AFT of one network instance (we model the default VRF).
+/// AFT of one network instance: the default one in DeviceAft::aft, each
+/// VRF in DeviceAft::instances.
 ///
-/// Copies are O(1): the table storage is copy-on-write (shared until one
-/// side mutates). A snapshot capture or emulation fork therefore shares
-/// the router's compiled tables instead of deep-copying thousands of map
-/// nodes; whoever mutates first pays for the clone.
+/// Each table is a vector sorted by the key its records carry (next-hop
+/// index, group id, prefix, label), with no key repeated, so every table
+/// iterates in key order. Copies are O(1): the tables share one
+/// copy-on-write block (shared until one side mutates). A snapshot capture
+/// or emulation fork therefore shares the router's compiled tables instead
+/// of deep-copying them; whoever mutates first pays for the clone.
 class Aft {
  public:
-  Aft() = default;
-  // Copying shares the tables and resets only the lazily built lookup
-  // trie (it holds pointers scoped to this instance's view of the
-  // storage). Moves keep it.
-  Aft(const Aft& other) : tables_(other.tables_) {}
-  Aft& operator=(const Aft& other) {
-    if (this != &other) {
-      tables_ = other.tables_;
-      trie_.clear();
-      trie_valid_ = false;
-    }
-    return *this;
-  }
-  Aft(Aft&&) = default;
-  Aft& operator=(Aft&&) = default;
-
-  /// Adds a next-hop, assigning the next free index. Returns the index.
+  /// Adds a next-hop, assigning the next free index (the last one plus
+  /// one). Returns the index.
   uint64_t add_next_hop(NextHop next_hop);
-  /// Adds a group over existing next-hop indices. Returns the group id.
+  /// Adds a group over existing next-hop indices, assigning the next free
+  /// id. Returns the group id.
   uint64_t add_group(std::vector<std::pair<uint64_t, uint64_t>> weighted_next_hops);
   /// Convenience: one-next-hop group.
   uint64_t add_group(uint64_t next_hop_index) {
     return add_group({{next_hop_index, 1}});
   }
 
+  /// Inserts the entry, replacing the one with the same key.
   void set_ipv4_entry(Ipv4Entry entry);
   void set_label_entry(LabelEntry entry);
 
-  /// Incremental-compile hook (rib::FibPatcher): erases and (re)writes the
-  /// given ipv4 entries, then swaps in whole next-hop, group and label
-  /// tables whose indices the caller has already renumbered. Both lists
-  /// are sorted by prefix. Builds new storage; copies sharing the old
-  /// storage keep it.
-  void patch(const std::vector<net::Ipv4Prefix>& erase, std::vector<Ipv4Entry> write,
-             std::map<uint64_t, NextHop> next_hops, std::map<uint64_t, NextHopGroup> groups,
-             std::map<uint32_t, LabelEntry> labels);
+  /// Replaces all four tables in new storage; copies sharing the old
+  /// storage keep it (rib::FibPatcher's output, the fuzz oracles' edits).
+  /// Each table must be sorted by its key with no key repeated.
+  void replace_tables(std::vector<NextHop> next_hops, std::vector<NextHopGroup> groups,
+                      std::vector<Ipv4Entry> ipv4_entries,
+                      std::vector<LabelEntry> label_entries);
 
-  const std::map<uint64_t, NextHop>& next_hops() const { return tables_->next_hops; }
-  const std::map<uint64_t, NextHopGroup>& groups() const { return tables_->groups; }
-  const std::map<net::Ipv4Prefix, Ipv4Entry>& ipv4_entries() const {
-    return tables_->ipv4_entries;
-  }
-  const std::map<uint32_t, LabelEntry>& label_entries() const {
-    return tables_->label_entries;
-  }
+  const std::vector<NextHop>& next_hops() const { return tables_->next_hops; }
+  const std::vector<NextHopGroup>& groups() const { return tables_->groups; }
+  const std::vector<Ipv4Entry>& ipv4_entries() const { return tables_->ipv4_entries; }
+  const std::vector<LabelEntry>& label_entries() const { return tables_->label_entries; }
 
   const NextHop* next_hop(uint64_t index) const;
   const NextHopGroup* group(uint64_t id) const;
   const Ipv4Entry* ipv4_entry(const net::Ipv4Prefix& prefix) const;
+  const LabelEntry* label_entry(uint32_t label) const;
 
-  /// Longest-prefix match over the ipv4 entries. Builds the lookup trie
-  /// lazily; mutation invalidates it.
+  /// Longest-prefix match over the ipv4 entries: one binary search per
+  /// prefix length, longest first.
   const Ipv4Entry* longest_match(net::Ipv4Address destination) const;
 
   /// Resolved forwarding action for a destination: the (possibly multiple,
@@ -135,11 +119,7 @@ class Aft {
 
   size_t entry_count() const { return tables_->ipv4_entries.size(); }
   bool operator==(const Aft& other) const {
-    if (&*tables_ == &*other.tables_) return true;  // shared storage
-    return tables_->next_hops == other.tables_->next_hops &&
-           tables_->groups == other.tables_->groups &&
-           tables_->ipv4_entries == other.tables_->ipv4_entries &&
-           tables_->label_entries == other.tables_->label_entries;
+    return shares_tables(other) || *tables_ == *other.tables_;
   }
 
   /// O(1) equality witness: true when both sides still share the same
@@ -156,33 +136,22 @@ class Aft {
   bool forwarding_equal(const Aft& other) const;
 
   util::Json to_json() const;
+  /// Records may come in any order; a repeated key keeps its last record.
   static util::Result<Aft> from_json(const util::Json& json);
 
  private:
   /// The copy-on-write storage unit. Kept as one block so a mutation
   /// clones all tables together (their index spaces are interdependent).
   struct Tables {
-    std::map<uint64_t, NextHop> next_hops;
-    std::map<uint64_t, NextHopGroup> groups;
-    std::map<net::Ipv4Prefix, Ipv4Entry> ipv4_entries;
-    std::map<uint32_t, LabelEntry> label_entries;
-    uint64_t next_hop_counter = 1;
-    uint64_t group_counter = 1;
+    std::vector<NextHop> next_hops;
+    std::vector<NextHopGroup> groups;
+    std::vector<Ipv4Entry> ipv4_entries;
+    std::vector<LabelEntry> label_entries;
+
+    bool operator==(const Tables&) const = default;
   };
 
-  /// Mutable table access; clones shared storage and drops the trie (its
-  /// entry pointers may target the storage being replaced).
-  Tables& mutate() {
-    trie_valid_ = false;
-    return tables_.mutate();
-  }
-
-  void rebuild_trie() const;
-
   util::Cow<Tables> tables_;
-
-  mutable net::PrefixTrie<const Ipv4Entry*> trie_;
-  mutable bool trie_valid_ = false;
 };
 
 /// One resolved packet-filter rule (destination match only, like the
@@ -223,6 +192,8 @@ struct DeviceAft {
   /// Non-default network instances (VRFs), keyed by name.
   std::map<std::string, Aft> instances;
   std::map<net::InterfaceName, InterfaceState> interfaces;
+
+  bool operator==(const DeviceAft&) const = default;
 
   util::Json to_json() const;
   static util::Result<DeviceAft> from_json(const util::Json& json);

@@ -5,15 +5,18 @@
 //   mfv-fuzz --replay repro.json           re-run a saved repro
 //
 // Every divergence is delta-debugged down to a minimal case and written
-// to --out as a self-contained JSON repro; the exit code is nonzero iff
-// any oracle disagreed. --time-budget-sec bounds a sweep for CI smoke
-// runs (seeds simply stop early; exit code still reflects failures).
+// to --out as a self-contained JSON repro. A sweep ends with one line per
+// oracle: the cases it ran on, skipped and failed. The exit code is
+// nonzero iff any oracle disagreed. --time-budget-sec bounds a sweep for
+// CI smoke runs (seeds simply stop early; exit code still reflects
+// failures).
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -108,8 +111,8 @@ int replay(const Options& options) {
   for (const mfv::fuzz::Verdict& verdict :
        mfv::fuzz::run_oracles(loaded.value(), options.oracle_mask)) {
     std::printf("  %-8s %s%s%s\n", mfv::fuzz::oracle_name(verdict.oracle).c_str(),
-                verdict.ok ? "ok" : "FAIL", verdict.detail.empty() ? "" : ": ",
-                verdict.detail.c_str());
+                !verdict.ok ? "FAIL" : verdict.skipped ? "skipped" : "ok",
+                verdict.detail.empty() ? "" : ": ", verdict.detail.c_str());
     failures += verdict.ok ? 0 : 1;
   }
   return failures > 0 ? 1 : 0;
@@ -128,6 +131,12 @@ int main(int argc, char** argv) {
         .count();
   };
 
+  struct Tally {
+    uint64_t ran = 0, skipped = 0, failed = 0;
+  };
+  std::map<uint32_t, Tally> tallies;  // oracle bit -> its verdicts
+  for (uint32_t oracle = 1; oracle & mfv::fuzz::kOracleAll; oracle <<= 1)
+    if (options.oracle_mask & oracle) tallies[oracle];
   uint64_t executed = 0;
   int failures = 0;
   bool out_dir_ready = false;
@@ -139,8 +148,14 @@ int main(int argc, char** argv) {
     }
     mfv::fuzz::FuzzCase c = mfv::fuzz::generate_case(seed);
     ++executed;
-    std::optional<mfv::fuzz::Verdict> failure =
-        mfv::fuzz::first_failure(c, options.oracle_mask);
+    std::optional<mfv::fuzz::Verdict> failure;
+    for (mfv::fuzz::Verdict& verdict : mfv::fuzz::run_oracles(c, options.oracle_mask)) {
+      Tally& tally = tallies[verdict.oracle];
+      ++(verdict.skipped ? tally.skipped : tally.ran);
+      if (verdict.ok) continue;
+      ++tally.failed;
+      if (!failure) failure = std::move(verdict);
+    }
     if (!failure) continue;
 
     ++failures;
@@ -170,6 +185,10 @@ int main(int argc, char** argv) {
   }
 
   double seconds = elapsed_sec();
+  for (const auto& [oracle, tally] : tallies)
+    std::printf("  %-11s ran %llu, skipped %llu, failed %llu\n",
+                mfv::fuzz::oracle_name(oracle).c_str(), (unsigned long long)tally.ran,
+                (unsigned long long)tally.skipped, (unsigned long long)tally.failed);
   std::printf("%llu case(s) in %.1fs (%.1f cases/sec), %d failure(s)\n",
               (unsigned long long)executed, seconds,
               seconds > 0 ? executed / seconds : 0.0, failures);

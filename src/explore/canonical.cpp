@@ -52,9 +52,9 @@ void append_group(const aft::Aft& aft, uint64_t group_id, std::string& out) {
 }
 
 void append_one_aft(const aft::Aft& aft, std::string& out) {
-  for (const auto& [prefix, entry] : aft.ipv4_entries()) {
+  for (const aft::Ipv4Entry& entry : aft.ipv4_entries()) {
     append(out, "  v4 ");
-    append(out, prefix.to_string());
+    append(out, entry.prefix.to_string());
     append(out, " ");
     append(out, entry.origin_protocol);
     append(out, " m=");
@@ -63,9 +63,9 @@ void append_one_aft(const aft::Aft& aft, std::string& out) {
     append_group(aft, entry.next_hop_group, out);
     append(out, "\n");
   }
-  for (const auto& [label, entry] : aft.label_entries()) {
+  for (const aft::LabelEntry& entry : aft.label_entries()) {
     append(out, "  mpls ");
-    append_u64(out, label);
+    append_u64(out, entry.label);
     append(out, " -> ");
     append_group(aft, entry.next_hop_group, out);
     append(out, "\n");

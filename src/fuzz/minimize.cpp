@@ -17,28 +17,28 @@ aft::Aft copy_aft_excluding(const aft::Aft& in, const net::Ipv4Prefix* drop_pref
                             const uint32_t* drop_label) {
   aft::Aft out;
   std::map<uint64_t, uint64_t> hop_map;
-  for (const auto& [index, hop] : in.next_hops()) hop_map[index] = out.add_next_hop(hop);
+  for (const aft::NextHop& hop : in.next_hops()) hop_map[hop.index] = out.add_next_hop(hop);
   std::map<uint64_t, uint64_t> group_map;
-  for (const auto& [id, group] : in.groups()) {
+  for (const aft::NextHopGroup& group : in.groups()) {
     std::vector<std::pair<uint64_t, uint64_t>> members;
     for (const auto& [hop, weight] : group.next_hops) {
       auto it = hop_map.find(hop);
       members.emplace_back(it != hop_map.end() ? it->second : hop, weight);
     }
-    group_map[id] = out.add_group(std::move(members));
+    group_map[group.id] = out.add_group(std::move(members));
   }
   auto mapped_group = [&group_map](uint64_t id) {
     auto it = group_map.find(id);
     return it != group_map.end() ? it->second : id;
   };
-  for (const auto& [prefix, entry] : in.ipv4_entries()) {
-    if (drop_prefix != nullptr && prefix == *drop_prefix) continue;
+  for (const aft::Ipv4Entry& entry : in.ipv4_entries()) {
+    if (drop_prefix != nullptr && entry.prefix == *drop_prefix) continue;
     aft::Ipv4Entry copy = entry;
     copy.next_hop_group = mapped_group(entry.next_hop_group);
     out.set_ipv4_entry(copy);
   }
-  for (const auto& [label, entry] : in.label_entries()) {
-    if (drop_label != nullptr && label == *drop_label) continue;
+  for (const aft::LabelEntry& entry : in.label_entries()) {
+    if (drop_label != nullptr && entry.label == *drop_label) continue;
     aft::LabelEntry copy = entry;
     copy.next_hop_group = mapped_group(entry.next_hop_group);
     out.set_label_entry(copy);
@@ -198,9 +198,8 @@ class Reducer {
     for (const auto& [node, device] : current_.snapshot.devices) nodes.push_back(node);
     for (const net::NodeName& node : nodes) {
       std::vector<net::Ipv4Prefix> prefixes;
-      for (const auto& [prefix, entry] :
-           current_.snapshot.devices.at(node).aft.ipv4_entries())
-        prefixes.push_back(prefix);
+      for (const aft::Ipv4Entry& entry : current_.snapshot.devices.at(node).aft.ipv4_entries())
+        prefixes.push_back(entry.prefix);
       for (const net::Ipv4Prefix& prefix : prefixes) {
         FuzzCase candidate = current_;
         candidate.snapshot.devices[node].aft =
@@ -208,9 +207,8 @@ class Reducer {
         progressed |= accept(std::move(candidate));
       }
       std::vector<uint32_t> labels;
-      for (const auto& [label, entry] :
-           current_.snapshot.devices.at(node).aft.label_entries())
-        labels.push_back(label);
+      for (const aft::LabelEntry& entry : current_.snapshot.devices.at(node).aft.label_entries())
+        labels.push_back(entry.label);
       for (uint32_t label : labels) {
         FuzzCase candidate = current_;
         candidate.snapshot.devices[node].aft =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <sstream>
 
@@ -30,13 +29,16 @@ verify::TraceOptions oracle_trace_options() {
   return options;
 }
 
-Verdict pass(uint32_t oracle, std::string detail = "") {
-  return Verdict{oracle, true, std::move(detail)};
+Verdict pass(uint32_t oracle) { return Verdict{oracle, true, false, ""}; }
+
+/// The case cannot exercise the oracle; `reason` says why.
+Verdict skip(uint32_t oracle, std::string reason) {
+  return Verdict{oracle, true, true, std::move(reason)};
 }
 
 Verdict fail(uint32_t oracle, std::string detail) {
   if (detail.size() > 2000) detail.resize(2000);
-  return Verdict{oracle, false, std::move(detail)};
+  return Verdict{oracle, false, false, std::move(detail)};
 }
 
 util::Result<gnmi::Snapshot> converge_snapshot(const emu::Topology& topology) {
@@ -85,7 +87,7 @@ Verdict check_engines(const FuzzCase& c) {
   } else {
     util::Result<gnmi::Snapshot> converged = converge_snapshot(c.topology);
     if (!converged.ok())
-      return pass(kOracleEngines, "skipped: " + converged.status().message());
+      return skip(kOracleEngines, converged.status().message());
     snapshot = std::move(converged.value());
   }
   verify::ForwardingGraph graph(snapshot);
@@ -126,24 +128,39 @@ Verdict check_engines(const FuzzCase& c) {
 
 // -- oracle 2: fork + re-converge vs cold boot ------------------------------
 
+/// `snapshot` with tables of its own: a capture shares the routers' table
+/// storage, so only a private copy still shows a later write through it.
+gnmi::Snapshot unshared(gnmi::Snapshot snapshot) {
+  auto unshare = [](aft::Aft& table) {
+    aft::Aft copy;
+    copy.replace_tables(table.next_hops(), table.groups(), table.ipv4_entries(),
+                        table.label_entries());
+    table = std::move(copy);
+  };
+  for (auto& [node, device] : snapshot.devices) {
+    unshare(device.aft);
+    for (auto& [name, instance] : device.instances) unshare(instance);
+  }
+  return snapshot;
+}
+
 Verdict check_fork(const FuzzCase& c) {
   emu::Emulation cold;
   if (!cold.add_topology(c.topology).ok())
-    return pass(kOracleFork, "skipped: topology rejected");
+    return skip(kOracleFork, "topology rejected");
   cold.start_all();
-  if (!cold.run_to_convergence()) return pass(kOracleFork, "skipped: unconverged");
+  if (!cold.run_to_convergence()) return skip(kOracleFork, "unconverged");
 
   emu::Emulation base;
   if (!base.add_topology(c.topology).ok())
-    return pass(kOracleFork, "skipped: topology rejected");
+    return skip(kOracleFork, "topology rejected");
   base.start_all();
-  if (!base.run_to_convergence()) return pass(kOracleFork, "skipped: unconverged");
+  if (!base.run_to_convergence()) return skip(kOracleFork, "unconverged");
 
   // Two boots of the same bytes must agree before any perturbation — the
   // determinism precondition everything else builds on.
-  std::string cold_json = gnmi::Snapshot::capture(cold, "snap").to_json().dump();
-  std::string base_json = gnmi::Snapshot::capture(base, "snap").to_json().dump();
-  if (cold_json != base_json)
+  gnmi::Snapshot base_before = unshared(gnmi::Snapshot::capture(base, "snap"));
+  if (gnmi::Snapshot::capture(cold, "snap") != base_before)
     return fail(kOracleFork, "two cold boots of the same topology diverged");
 
   std::unique_ptr<emu::Emulation> fork = base.fork();
@@ -157,17 +174,15 @@ Verdict check_fork(const FuzzCase& c) {
                                    scenario::perturbation_to_string(perturbation));
   }
   if (!cold.run_to_convergence() || !fork->run_to_convergence())
-    return pass(kOracleFork, "skipped: perturbed network did not re-converge");
+    return skip(kOracleFork, "perturbed network did not re-converge");
 
-  std::string cold_after = gnmi::Snapshot::capture(cold, "snap").to_json().dump();
-  std::string fork_after = gnmi::Snapshot::capture(*fork, "snap").to_json().dump();
-  if (cold_after != fork_after)
+  if (gnmi::Snapshot::capture(cold, "snap") != gnmi::Snapshot::capture(*fork, "snap"))
     return fail(kOracleFork, "forked dataplane diverged from cold boot after " +
                                  std::to_string(c.perturbations.size()) +
                                  " perturbation(s)");
 
   // The fork must not write through into the base it copied.
-  if (gnmi::Snapshot::capture(base, "snap").to_json().dump() != base_json)
+  if (gnmi::Snapshot::capture(base, "snap") != base_before)
     return fail(kOracleFork, "perturbing the fork mutated the base emulation");
 
   return pass(kOracleFork);
@@ -183,15 +198,14 @@ Verdict check_store(const FuzzCase& c) {
   };
 
   util::Result<service::SnapshotStore::Lease> first = store.get_or_build(service::kDefaultTenant, key, builder);
-  if (!first.ok()) return pass(kOracleStore, "skipped: " + first.status().message());
+  if (!first.ok()) return skip(kOracleStore, first.status().message());
   util::Result<service::SnapshotStore::Lease> second = store.get_or_build(service::kDefaultTenant, key, builder);
   if (!second.ok()) return fail(kOracleStore, "hit path failed after successful build");
   if (!second->hit) return fail(kOracleStore, "second lookup of one key was a miss");
 
   util::Result<std::unique_ptr<service::StoredSnapshot>> rebuilt = builder();
   if (!rebuilt.ok()) return fail(kOracleStore, "independent rebuild failed after hit");
-  if (second->entry->graph->snapshot().to_json().dump() !=
-      (*rebuilt)->graph->snapshot().to_json().dump())
+  if (second->entry->graph->snapshot() != (*rebuilt)->graph->snapshot())
     return fail(kOracleStore, "cached base snapshot differs from a rebuild");
 
   if (c.perturbations.empty()) return pass(kOracleStore);
@@ -205,7 +219,7 @@ Verdict check_store(const FuzzCase& c) {
   };
   util::Result<service::SnapshotStore::Lease> forked =
       store.get_or_build(service::kDefaultTenant, fork_key, fork_builder);
-  if (!forked.ok()) return pass(kOracleStore, "skipped: " + forked.status().message());
+  if (!forked.ok()) return skip(kOracleStore, forked.status().message());
   util::Result<service::SnapshotStore::Lease> forked_hit =
       store.get_or_build(service::kDefaultTenant, fork_key, fork_builder);
   if (!forked_hit.ok() || !forked_hit->hit)
@@ -213,16 +227,15 @@ Verdict check_store(const FuzzCase& c) {
 
   emu::Emulation cold;
   if (!cold.add_topology(c.topology).ok())
-    return pass(kOracleStore, "skipped: topology rejected");
+    return skip(kOracleStore, "topology rejected");
   cold.start_all();
-  if (!cold.run_to_convergence()) return pass(kOracleStore, "skipped: unconverged");
+  if (!cold.run_to_convergence()) return skip(kOracleStore, "unconverged");
   for (const scenario::Perturbation& perturbation : c.perturbations)
     if (!scenario::ScenarioRunner::apply(cold, perturbation))
-      return pass(kOracleStore, "skipped: perturbation target missing on cold boot");
+      return skip(kOracleStore, "perturbation target missing on cold boot");
   if (!cold.run_to_convergence())
-    return pass(kOracleStore, "skipped: cold boot did not re-converge");
-  if (forked_hit->entry->graph->snapshot().to_json().dump() !=
-      gnmi::Snapshot::capture(cold, "snap").to_json().dump())
+    return skip(kOracleStore, "cold boot did not re-converge");
+  if (forked_hit->entry->graph->snapshot() != gnmi::Snapshot::capture(cold, "snap"))
     return fail(kOracleStore,
                 "cached forked snapshot differs from a cold-booted equivalent");
 
@@ -377,7 +390,7 @@ std::string run_case_observables(const FuzzCase& c, emu::EmulationOptions option
 
 Verdict check_sharded(const FuzzCase& c) {
   std::string serial = run_case_observables(c, {});
-  if (serial.empty()) return pass(kOracleSharded, "skipped: serial run did not settle");
+  if (serial.empty()) return skip(kOracleSharded, "serial run did not settle");
   for (uint32_t shards : {2u, 4u}) {
     emu::EmulationOptions options;
     options.shards = shards;
@@ -466,15 +479,16 @@ std::vector<SnapshotEdit> snapshot_edits(const gnmi::Snapshot& snapshot) {
     const aft::Aft& aft = it->second.aft;
     auto table = [node](gnmi::Snapshot& s) -> aft::Aft& { return s.devices.at(node).aft; };
     if (!aft.ipv4_entries().empty()) {
-      net::Ipv4Prefix first = aft.ipv4_entries().begin()->first;
-      add(node + " erase first ipv4 entry", [table, first](gnmi::Snapshot& s) {
+      add(node + " erase first ipv4 entry", [table](gnmi::Snapshot& s) {
         aft::Aft& a = table(s);
-        a.patch({first}, {}, a.next_hops(), a.groups(), a.label_entries());
+        std::vector<aft::Ipv4Entry> entries = a.ipv4_entries();
+        entries.erase(entries.begin());
+        a.replace_tables(a.next_hops(), a.groups(), std::move(entries), a.label_entries());
       });
-      aft::Ipv4Entry last = aft.ipv4_entries().rbegin()->second;
-      for (const auto& [group, members] : aft.groups()) {
-        if (group == last.next_hop_group) continue;
-        last.next_hop_group = group;
+      aft::Ipv4Entry last = aft.ipv4_entries().back();
+      for (const aft::NextHopGroup& group : aft.groups()) {
+        if (group.id == last.next_hop_group) continue;
+        last.next_hop_group = group.id;
         add(node + " repoint last ipv4 entry",
             [table, last](gnmi::Snapshot& s) { table(s).set_ipv4_entry(last); });
         break;
@@ -483,9 +497,9 @@ std::vector<SnapshotEdit> snapshot_edits(const gnmi::Snapshot& snapshot) {
     if (!aft.label_entries().empty()) {
       add(node + " erase first label entry", [table](gnmi::Snapshot& s) {
         aft::Aft& a = table(s);
-        std::map<uint32_t, aft::LabelEntry> labels = a.label_entries();
+        std::vector<aft::LabelEntry> labels = a.label_entries();
         labels.erase(labels.begin());
-        a.patch({}, {}, a.next_hops(), a.groups(), std::move(labels));
+        a.replace_tables(a.next_hops(), a.groups(), a.ipv4_entries(), std::move(labels));
       });
     }
 
@@ -526,10 +540,10 @@ Verdict check_incremental(const FuzzCase& c) {
   if (c.mode == Mode::kSynthetic) return check_incremental_synthetic(c);
   emu::Emulation base;
   if (!base.add_topology(c.topology).ok())
-    return pass(kOracleIncremental, "skipped: topology rejected");
+    return skip(kOracleIncremental, "topology rejected");
   base.start_all();
   if (!base.run_to_convergence())
-    return pass(kOracleIncremental, "skipped: unconverged");
+    return skip(kOracleIncremental, "unconverged");
 
   verify::ForwardingGraph base_graph(gnmi::Snapshot::capture(base, "base"));
   verify::QueryOptions options;
@@ -543,7 +557,7 @@ Verdict check_incremental(const FuzzCase& c) {
   for (const scenario::Perturbation& perturbation : c.perturbations)
     scenario::ScenarioRunner::apply(*fork, perturbation);
   if (!fork->run_to_convergence())
-    return pass(kOracleIncremental, "skipped: perturbed network did not re-converge");
+    return skip(kOracleIncremental, "perturbed network did not re-converge");
 
   verify::ForwardingGraph candidate(gnmi::Snapshot::capture(*fork, "candidate"));
   if (std::string mismatch = splice_mismatch(*verify_base, candidate, options);
@@ -561,11 +575,11 @@ Verdict check_explore(const FuzzCase& c) {
   // topologies and tight caps, and treat every truncation as a skip —
   // membership is only a theorem for complete enumerations.
   if (c.topology.nodes.size() > 6)
-    return pass(kOracleExplore, "skipped: topology too large to enumerate");
+    return skip(kOracleExplore, "topology too large to enumerate");
 
   emu::Emulation base;
   if (!base.add_topology(c.topology).ok())
-    return pass(kOracleExplore, "skipped: topology rejected");
+    return skip(kOracleExplore, "topology rejected");
 
   explore::ExploreInput input;
   input.base = &base;
@@ -578,9 +592,9 @@ Verdict check_explore(const FuzzCase& c) {
   options.keep_state_bytes = true;  // byte-exact membership below
   util::Result<explore::ExploreResult> result = explore::explore(input, options);
   if (!result.ok())
-    return pass(kOracleExplore, "skipped: " + result.status().message());
+    return skip(kOracleExplore, result.status().message());
   if (!result->complete)
-    return pass(kOracleExplore, "skipped: exploration truncated by caps");
+    return skip(kOracleExplore, "exploration truncated by caps");
 
   // Jitter below the addressed-message latency can only flip deliveries
   // that are co-pending — exactly the pairs the exploration branches on —
@@ -591,10 +605,10 @@ Verdict check_explore(const FuzzCase& c) {
     sample_options.message_jitter_micros = 500;
     emu::Emulation sampled(sample_options);
     if (!sampled.add_topology(c.topology).ok())
-      return pass(kOracleExplore, "skipped: topology rejected");
+      return skip(kOracleExplore, "topology rejected");
     sampled.start_all();
     if (!sampled.run_to_convergence())
-      return pass(kOracleExplore, "skipped: jittered boot did not converge");
+      return skip(kOracleExplore, "jittered boot did not converge");
     explore::CanonicalState state = explore::canonicalize(sampled);
     if (!result->contains(state))
       return fail(kOracleExplore,
@@ -615,8 +629,7 @@ Verdict check_explore(const FuzzCase& c) {
 std::string fib_mismatch(const emu::Emulation& emulation) {
   for (const net::NodeName& name : emulation.node_names()) {
     const vrouter::VirtualRouter* router = emulation.router(name);
-    if (router->device_aft().to_json().dump() !=
-        router->recompiled_device_aft().to_json().dump())
+    if (router->device_aft() != router->recompiled_device_aft())
       return name + ": patched FIB differs from a from-scratch compile";
     if (const proto::IsisEngine* isis = router->isis()) {
       rib::Rib reinstalled = router->routing_table();
@@ -630,9 +643,9 @@ std::string fib_mismatch(const emu::Emulation& emulation) {
 
 Verdict check_fib(const FuzzCase& c) {
   emu::Emulation base;
-  if (!base.add_topology(c.topology).ok()) return pass(kOracleFib, "skipped: topology rejected");
+  if (!base.add_topology(c.topology).ok()) return skip(kOracleFib, "topology rejected");
   base.start_all();
-  if (!base.run_to_convergence()) return pass(kOracleFib, "skipped: unconverged");
+  if (!base.run_to_convergence()) return skip(kOracleFib, "unconverged");
   if (std::string problem = fib_mismatch(base); !problem.empty())
     return fail(kOracleFib, "after boot: " + problem);
 
@@ -641,7 +654,7 @@ Verdict check_fib(const FuzzCase& c) {
   for (size_t i = 0; i < c.perturbations.size(); ++i) {
     scenario::ScenarioRunner::apply(*fork, c.perturbations[i]);
     if (!fork->run_to_convergence())
-      return pass(kOracleFib, "skipped: perturbed network did not re-converge");
+      return skip(kOracleFib, "perturbed network did not re-converge");
     if (std::string problem = fib_mismatch(*fork); !problem.empty())
       return fail(kOracleFib, "after " +
                                   scenario::perturbation_to_string(c.perturbations[i]) +

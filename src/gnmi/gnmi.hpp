@@ -104,6 +104,8 @@ struct Snapshot {
 
   size_t total_entries() const;
 
+  bool operator==(const Snapshot&) const = default;
+
   util::Json to_json() const;
   static util::Result<Snapshot> from_json(const util::Json& json);
   static util::Result<Snapshot> from_json_text(std::string_view text);

@@ -603,14 +603,14 @@ aft::Aft compile_fib(const Rib& rib) {
 
 FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& labels) {
   Rib::Dirty dirty = rib.take_dirty();
-  const std::map<net::Ipv4Prefix, aft::Ipv4Entry>& entries = fib.ipv4_entries();
+  const std::vector<aft::Ipv4Entry>& entries = fib.ipv4_entries();
   const std::vector<std::pair<net::Ipv4Address, net::Ipv4Prefix>>& recursive = *recursive_;
 
   // The prefixes to re-resolve, sorted.
   std::vector<net::Ipv4Prefix> work;
   if (dirty.all) {
     // Every RIB prefix, and every programmed prefix the RIB may have lost.
-    auto programmed = std::views::keys(entries);
+    auto programmed = std::views::transform(entries, &aft::Ipv4Entry::prefix);
     work.reserve(dirty.prefixes.size() + entries.size());
     std::set_union(dirty.prefixes.begin(), dirty.prefixes.end(), programmed.begin(),
                    programmed.end(), std::back_inserter(work));
@@ -704,9 +704,9 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     updates.push_back(update);
   }
 
-  // Merge the updates into the table in prefix order, numbering groups by
-  // first appearance as compile_fib does. Untouched entries are rewritten
-  // only when their group's number moved.
+  // Merge the updates into a new entry table in prefix order, numbering
+  // groups by first appearance as compile_fib does. Untouched entries are
+  // copied, renumbered when their group's number moved.
   Result result;
   std::vector<uint64_t> group_ids;  // key -> new group id (0 = not yet seen)
   std::vector<uint32_t> group_order;  // new group id - 1 -> key
@@ -718,27 +718,22 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     }
     return group_ids[key];
   };
-  std::vector<net::Ipv4Prefix> erase;
-  std::vector<aft::Ipv4Entry> write;
+  std::vector<aft::Ipv4Entry> fresh_entries;
+  fresh_entries.reserve(std::max(entries.size(), updates.size()));
   auto old_it = entries.begin();
   for (size_t u = 0; old_it != entries.end() || u < updates.size();) {
-    if (u == updates.size() || (old_it != entries.end() && old_it->first < updates[u].prefix)) {
-      const aft::Ipv4Entry& entry = (old_it++)->second;
-      uint64_t id = number(group_key(entry.next_hop_group));
-      if (id != entry.next_hop_group) {
-        write.push_back(entry);
-        write.back().next_hop_group = id;
-      }
+    if (u == updates.size() || (old_it != entries.end() && old_it->prefix < updates[u].prefix)) {
+      const aft::Ipv4Entry& entry = *old_it++;
+      fresh_entries.push_back(entry);
+      fresh_entries.back().next_hop_group = number(group_key(entry.next_hop_group));
+      if (fresh_entries.back().next_hop_group != entry.next_hop_group) result.changed = true;
       continue;
     }
     const Update& update = updates[u++];
     const aft::Ipv4Entry* old = nullptr;
-    if (old_it != entries.end() && old_it->first == update.prefix) old = &(old_it++)->second;
+    if (old_it != entries.end() && old_it->prefix == update.prefix) old = &*old_it++;
     if (update.key == 0) {
-      if (old != nullptr) {
-        erase.push_back(update.prefix);
-        result.forwarding_changed = true;
-      }
+      if (old != nullptr) result.changed = result.forwarding_changed = true;
       continue;
     }
     aft::Ipv4Entry entry;
@@ -748,13 +743,14 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     entry.metric = update.metric;
     if (old == nullptr || group_key(old->next_hop_group) != update.key)
       result.forwarding_changed = true;
-    if (old == nullptr || !(*old == entry)) write.push_back(std::move(entry));
+    if (old == nullptr || !(*old == entry)) result.changed = true;
+    fresh_entries.push_back(std::move(entry));
   }
 
   // Next hops by first appearance: the groups in id order, each in
   // resolved-hop order, is the order compile_fib meets them.
-  std::map<uint64_t, aft::NextHop> next_hops;
-  std::map<uint64_t, aft::NextHopGroup> groups;
+  std::vector<aft::NextHop> next_hops;
+  std::vector<aft::NextHopGroup> groups;
   std::map<ResolvedNextHop, uint64_t> hop_index;
   for (uint32_t key : group_order) {
     aft::NextHopGroup group;
@@ -762,26 +758,25 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     for (const ResolvedNextHop& hop : *sets[key]) {
       auto [it, inserted] = hop_index.emplace(hop, hop_index.size() + 1);
       if (inserted) {
-        aft::NextHop nh = aft_next_hop(hop);
-        nh.index = it->second;
-        next_hops.emplace_hint(next_hops.end(), nh.index, std::move(nh));
+        next_hops.push_back(aft_next_hop(hop));
+        next_hops.back().index = it->second;
       }
       group.next_hops.emplace_back(it->second, 1);
     }
     std::sort(group.next_hops.begin(), group.next_hops.end());
-    groups.emplace_hint(groups.end(), group.id, std::move(group));
+    groups.push_back(std::move(group));
   }
 
   // Label entries follow, one next hop and one group each. Their
   // forwarding changed unless every label keeps its next hop.
   auto old_label_hop = [&](uint32_t label) -> const aft::NextHop* {
-    auto entry = fib.label_entries().find(label);
-    if (entry == fib.label_entries().end()) return nullptr;
-    const aft::NextHopGroup* group = fib.group(entry->second.next_hop_group);
+    const aft::LabelEntry* entry = fib.label_entry(label);
+    if (entry == nullptr) return nullptr;
+    const aft::NextHopGroup* group = fib.group(entry->next_hop_group);
     if (group == nullptr || group->next_hops.size() != 1) return nullptr;
     return fib.next_hop(group->next_hops.front().first);
   };
-  std::map<uint32_t, aft::LabelEntry> label_entries;
+  std::vector<aft::LabelEntry> label_entries;
   bool labels_equal = labels.size() == fib.label_entries().size();
   for (const auto& [label, hop] : labels) {
     aft::NextHop nh = hop;
@@ -789,7 +784,7 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     aft::NextHopGroup group;
     group.id = groups.size() + 1;
     group.next_hops.emplace_back(nh.index, 1);
-    label_entries[label] = aft::LabelEntry{label, group.id};
+    label_entries.push_back(aft::LabelEntry{label, group.id});
     if (const aft::NextHop* old = labels_equal ? old_label_hop(label) : nullptr) {
       aft::NextHop same_index = *old;
       same_index.index = nh.index;
@@ -797,16 +792,16 @@ FibPatcher::Result FibPatcher::patch(Rib& rib, aft::Aft& fib, const LabelHops& l
     } else {
       labels_equal = false;
     }
-    next_hops.emplace(nh.index, std::move(nh));
-    groups.emplace(group.id, std::move(group));
+    next_hops.push_back(std::move(nh));
+    groups.push_back(std::move(group));
   }
   if (!labels_equal) result.forwarding_changed = true;
 
-  result.changed = !erase.empty() || !write.empty() || next_hops != fib.next_hops() ||
+  result.changed = result.changed || next_hops != fib.next_hops() ||
                    groups != fib.groups() || label_entries != fib.label_entries();
   if (result.changed)
-    fib.patch(erase, std::move(write), std::move(next_hops), std::move(groups),
-              std::move(label_entries));
+    fib.replace_tables(std::move(next_hops), std::move(groups), std::move(fresh_entries),
+                       std::move(label_entries));
 
   // Re-index the recursive routes of every re-resolved prefix.
   std::sort(fresh_recursive.begin(), fresh_recursive.end());

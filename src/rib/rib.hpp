@@ -234,17 +234,19 @@ std::vector<ResolvedNextHop> resolve(const Rib& rib, const RibRoute& route, int 
 aft::Aft compile_fib(const Rib& rib);
 
 /// MPLS label entries to append after the ipv4 tables: incoming label and
-/// its one next hop (index ignored), in label order.
+/// its one next hop (index ignored), in increasing label order, each label
+/// once.
 using LabelHops = std::vector<std::pair<uint32_t, aft::NextHop>>;
 
 /// The incremental counterpart of compile_fib: keeps one AFT equal to
 /// compile_fib(rib) plus `labels` (each label gets its own next hop and
 /// group after the ipv4 ones) while doing work in proportion to what
 /// changed. It re-resolves the prefixes the RIB marked dirty and the
-/// recursive routes whose next hop lies inside one of them, patches the
-/// copy-on-write table, and renumbers next hops and groups in the
-/// first-appearance order compile_fib uses. A fresh RIB is all dirty, so
-/// the first call is a full compile.
+/// recursive routes whose next hop lies inside one of them, merges them
+/// with the untouched entries into new tables in one walk, renumbering
+/// next hops and groups in the first-appearance order compile_fib uses,
+/// and hands the tables to the AFT whole (Aft::replace_tables). A fresh
+/// RIB is all dirty, so the first call is a full compile.
 class FibPatcher {
  public:
   struct Result {

@@ -75,7 +75,7 @@ void ForwardingGraph::compile_node(NodeId id, const aft::DeviceAft& device) {
   // group share its span.
   std::vector<std::pair<uint64_t, std::pair<size_t, size_t>>> group_ranges;
   group_ranges.reserve(aft.groups().size());
-  for (const auto& [group_id, group] : aft.groups()) {
+  for (const aft::NextHopGroup& group : aft.groups()) {
     size_t begin = node.hops.size();
     for (const auto& [index, weight] : group.next_hops) {
       const aft::NextHop* source = aft.next_hop(index);
@@ -97,7 +97,7 @@ void ForwardingGraph::compile_node(NodeId id, const aft::DeviceAft& device) {
       }
       node.hops.push_back(hop);
     }
-    group_ranges.push_back({group_id, {begin, node.hops.size()}});
+    group_ranges.push_back({group.id, {begin, node.hops.size()}});
   }
   auto group_hops = [&](uint64_t group_id) -> std::span<const Hop> {
     auto it = std::lower_bound(
@@ -108,10 +108,10 @@ void ForwardingGraph::compile_node(NodeId id, const aft::DeviceAft& device) {
   };
 
   node.routes.reserve(aft.ipv4_entries().size());
-  for (const auto& [prefix, entry] : aft.ipv4_entries())
+  for (const aft::Ipv4Entry& entry : aft.ipv4_entries())
     node.routes.push_back({&entry, group_hops(entry.next_hop_group)});
-  for (const auto& [label, entry] : aft.label_entries())
-    node.labels.emplace_back(label, group_hops(entry.next_hop_group));
+  for (const aft::LabelEntry& entry : aft.label_entries())
+    node.labels.emplace_back(entry.label, group_hops(entry.next_hop_group));
 
   // One stack sweep over the prefix-sorted entries (a pre-order walk of
   // the containment tree): the innermost open prefix answers until it
@@ -136,10 +136,10 @@ void ForwardingGraph::compile_node(NodeId id, const aft::DeviceAft& device) {
     }
   };
   const Route* route = node.routes.data();
-  for (const auto& [prefix, entry] : aft.ipv4_entries()) {
-    close_before(prefix.first_address().bits());
-    emit(prefix.first_address().bits(), route);
-    open.emplace_back(prefix.last_address().bits(), route++);
+  for (const aft::Ipv4Entry& entry : aft.ipv4_entries()) {
+    close_before(entry.prefix.first_address().bits());
+    emit(entry.prefix.first_address().bits(), route);
+    open.emplace_back(entry.prefix.last_address().bits(), route++);
   }
   close_before(uint64_t{1} << 32);
 }
@@ -185,7 +185,7 @@ bool ForwardingGraph::on_connected_subnet(NodeId node, net::Ipv4Address address)
 std::vector<net::Ipv4Prefix> ForwardingGraph::relevant_prefixes() const {
   std::set<net::Ipv4Prefix> prefixes;
   for (const auto& [node, device] : snapshot_.devices) {
-    for (const auto& [prefix, entry] : device.aft.ipv4_entries()) prefixes.insert(prefix);
+    for (const aft::Ipv4Entry& entry : device.aft.ipv4_entries()) prefixes.insert(entry.prefix);
     for (const auto& [name, interface] : device.interfaces) {
       if (interface.address && interface.vrf.empty()) {
         prefixes.insert(interface.address->subnet);

@@ -341,31 +341,21 @@ rib::LabelHops VirtualRouter::label_hops() const {
 }
 
 void VirtualRouter::compile_fib_now() {
-  // Patch copies of the exported tables (a copy shares storage until it is
-  // patched). They always end up equal to a fresh compile, so a change
+  // The patched tables always end up equal to a fresh compile, so a change
   // that leaves forwarding intact (a metric or origin-protocol shift)
-  // still reaches the AFT. Only forwarding changes bump the version and
-  // the last-change time the convergence detector watches.
-  aft::Aft fib = *fib_;
-  rib::FibPatcher::Result result = fib_patcher_.patch(rib_, fib, label_hops());
-  std::map<std::string, aft::Aft> vrf_fibs;
-  bool vrf_set_changed = vrf_ribs_.size() != vrf_fibs_.size();
+  // still reaches the AFT. Only forwarding changes (a VRF instance coming
+  // or going included) bump the version and the last-change time the
+  // convergence detector watches.
+  bool forwarding_changed = fib_patcher_.patch(rib_, fib_, label_hops()).forwarding_changed;
   for (auto& [vrf, vrf_rib] : vrf_ribs_) {
-    aft::Aft& vrf_fib = vrf_fibs[vrf];
-    if (auto old = vrf_fibs_.find(vrf); old != vrf_fibs_.end())
-      vrf_fib = old->second;
-    else
-      vrf_set_changed = true;
-    rib::FibPatcher::Result vrf_result = vrf_patchers_[vrf].patch(vrf_rib, vrf_fib);
-    result.changed |= vrf_result.changed;
-    result.forwarding_changed |= vrf_result.forwarding_changed;
+    auto [vrf_fib, added] = vrf_fibs_.try_emplace(vrf);
+    forwarding_changed |= vrf_patchers_[vrf].patch(vrf_rib, vrf_fib->second).forwarding_changed;
+    forwarding_changed |= added;
   }
-  std::erase_if(vrf_patchers_, [&](const auto& item) { return !vrf_ribs_.count(item.first); });
-  if (vrf_set_changed) result.changed = result.forwarding_changed = true;
-  if (!result.changed) return;
-  fib_ = std::make_shared<const aft::Aft>(std::move(fib));
-  vrf_fibs_ = std::move(vrf_fibs);
-  if (!result.forwarding_changed) return;
+  auto gone = [&](const auto& item) { return !vrf_ribs_.count(item.first); };
+  std::erase_if(vrf_patchers_, gone);
+  forwarding_changed |= std::erase_if(vrf_fibs_, gone) > 0;
+  if (!forwarding_changed) return;
   ++fib_version_;
   last_fib_change_ = fabric_.now();
 }
@@ -383,7 +373,7 @@ aft::DeviceAft VirtualRouter::recompiled_device_aft() const {
 aft::DeviceAft VirtualRouter::device_aft() const {
   aft::DeviceAft device;
   device.node = config_.hostname;
-  device.aft = *fib_;
+  device.aft = fib_;
   device.instances = vrf_fibs_;
   for (const auto& [name, interface] : config_.interfaces) {
     aft::InterfaceState state;

@@ -112,7 +112,7 @@ class VirtualRouter final : public proto::RouterEnv {
   bool owns_address(net::Ipv4Address address) const;
 
   // -- dataplane export (gNMI-facing) --
-  const aft::Aft& fib() const { return *fib_; }
+  const aft::Aft& fib() const { return fib_; }
   aft::DeviceAft device_aft() const;
   /// device_aft() with the tables compiled from scratch out of the current
   /// RIBs (rib::compile_fib plus the TE label entries). Equal to
@@ -183,11 +183,10 @@ class VirtualRouter final : public proto::RouterEnv {
 
   std::map<net::InterfaceName, bool> link_connected_;
 
-  // Shared, immutable once compiled: compile_fib_now() patches a
-  // copy-on-write copy and swaps it in, so forks share the base's
-  // compiled FIB until their first change (and forever if the scenario
-  // never touches this router's RIB).
-  std::shared_ptr<const aft::Aft> fib_ = std::make_shared<aft::Aft>();
+  // A patch that changes a table replaces its copy-on-write block, so
+  // forks share the base's compiled FIBs until their first change (and
+  // forever if the scenario never touches this router's RIBs).
+  aft::Aft fib_;
   std::map<std::string, aft::Aft> vrf_fibs_;
   rib::FibPatcher fib_patcher_;
   std::map<std::string, rib::FibPatcher> vrf_patchers_;

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "aft/aft.hpp"
+#include "util/rng.hpp"
 
 namespace mfv::aft {
 namespace {
@@ -111,6 +114,108 @@ TEST(Aft, JsonRoundTrip) {
   EXPECT_TRUE(restored->forwarding_equal(aft));
   EXPECT_TRUE(*restored == aft);
   EXPECT_EQ(restored->label_entries().size(), 1u);
+}
+
+// longest_match and forward agree with a brute-force scan over a random
+// prefix population, repeats included (the last entry set for a prefix
+// wins).
+TEST(Aft, LongestMatchAndForwardMatchBruteForce) {
+  util::Pcg32 rng(1234);
+  Aft aft;
+  std::vector<std::pair<net::Ipv4Prefix, uint32_t>> prefixes;  // prefix, last i
+  for (uint32_t i = 0; i < 300; ++i) {
+    net::Ipv4Prefix prefix(net::Ipv4Address(rng.next()),
+                           static_cast<uint8_t>(rng.next_below(33)));
+    NextHop nh;
+    nh.interface = "Ethernet" + std::to_string(i);
+    aft.set_ipv4_entry({prefix, aft.add_group(aft.add_next_hop(nh)), "STATIC", i});
+    auto it = std::find_if(prefixes.begin(), prefixes.end(),
+                           [&](const auto& seen) { return seen.first == prefix; });
+    if (it == prefixes.end())
+      prefixes.emplace_back(prefix, i);
+    else
+      it->second = i;
+  }
+  ASSERT_EQ(aft.entry_count(), prefixes.size());
+  for (int trial = 0; trial < 2000; ++trial) {
+    net::Ipv4Address probe(rng.next());
+    const std::pair<net::Ipv4Prefix, uint32_t>* best = nullptr;
+    for (const auto& entry : prefixes) {
+      if (!entry.first.contains(probe)) continue;
+      if (best == nullptr || entry.first.length() > best->first.length()) best = &entry;
+    }
+    const Ipv4Entry* match = aft.longest_match(probe);
+    std::vector<NextHop> hops = aft.forward(probe);
+    if (best == nullptr) {
+      EXPECT_EQ(match, nullptr) << probe.to_string();
+      EXPECT_TRUE(hops.empty()) << probe.to_string();
+      continue;
+    }
+    ASSERT_NE(match, nullptr) << probe.to_string();
+    EXPECT_EQ(match->prefix, best->first) << probe.to_string();
+    EXPECT_EQ(match->metric, best->second) << probe.to_string();
+    ASSERT_EQ(hops.size(), 1u) << probe.to_string();
+    EXPECT_EQ(hops[0].interface, "Ethernet" + std::to_string(best->second))
+        << probe.to_string();
+  }
+}
+
+// from_json keeps a map's rules for documents out of key order: every table
+// iterates sorted by key, and of the records sharing a key the last wins.
+TEST(Aft, FromJsonSortsAndKeepsTheLastRecordOfAKey) {
+  std::optional<util::Json> shuffled = util::Json::parse(R"({
+    "next-hops": [{"index": 3, "drop": true},
+                  {"index": 1, "interface-ref": "Ethernet1"},
+                  {"index": 3, "interface-ref": "Ethernet3"}],
+    "next-hop-groups": [{"id": 2, "next-hops": [{"index": 3, "weight": 1}]},
+                        {"id": 1, "next-hops": [{"index": 1, "weight": 1}]},
+                        {"id": 2, "next-hops": [{"index": 1, "weight": 2}]}],
+    "ipv4-unicast": [
+      {"prefix": "10.2.0.0/16", "next-hop-group": 1, "origin-protocol": "BGP", "metric": 0},
+      {"prefix": "10.1.0.0/16", "next-hop-group": 2, "origin-protocol": "ISIS", "metric": 10},
+      {"prefix": "10.2.0.0/16", "next-hop-group": 2, "origin-protocol": "STATIC", "metric": 1},
+      {"prefix": "0.0.0.0/0", "next-hop-group": 1, "origin-protocol": "STATIC", "metric": 0}],
+    "mpls": [{"label": 200, "next-hop-group": 1},
+             {"label": 100, "next-hop-group": 2},
+             {"label": 200, "next-hop-group": 2}]
+  })");
+  std::optional<util::Json> by_hand = util::Json::parse(R"({
+    "next-hops": [{"index": 1, "interface-ref": "Ethernet1"},
+                  {"index": 3, "interface-ref": "Ethernet3"}],
+    "next-hop-groups": [{"id": 1, "next-hops": [{"index": 1, "weight": 1}]},
+                        {"id": 2, "next-hops": [{"index": 1, "weight": 2}]}],
+    "ipv4-unicast": [
+      {"prefix": "0.0.0.0/0", "next-hop-group": 1, "origin-protocol": "STATIC", "metric": 0},
+      {"prefix": "10.1.0.0/16", "next-hop-group": 2, "origin-protocol": "ISIS", "metric": 10},
+      {"prefix": "10.2.0.0/16", "next-hop-group": 2, "origin-protocol": "STATIC", "metric": 1}],
+    "mpls": [{"label": 100, "next-hop-group": 2},
+             {"label": 200, "next-hop-group": 2}]
+  })");
+  ASSERT_TRUE(shuffled.has_value());
+  ASSERT_TRUE(by_hand.has_value());
+  auto aft = Aft::from_json(*shuffled);
+  auto expected = Aft::from_json(*by_hand);
+  ASSERT_TRUE(aft.ok()) << aft.status().to_string();
+  ASSERT_TRUE(expected.ok()) << expected.status().to_string();
+
+  std::vector<uint64_t> indices, ids;
+  std::vector<std::string> prefixes;
+  std::vector<uint32_t> labels;
+  for (const NextHop& nh : aft->next_hops()) indices.push_back(nh.index);
+  for (const NextHopGroup& group : aft->groups()) ids.push_back(group.id);
+  for (const Ipv4Entry& entry : aft->ipv4_entries()) prefixes.push_back(entry.prefix.to_string());
+  for (const LabelEntry& entry : aft->label_entries()) labels.push_back(entry.label);
+  EXPECT_EQ(indices, (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(ids, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(prefixes, (std::vector<std::string>{"0.0.0.0/0", "10.1.0.0/16", "10.2.0.0/16"}));
+  EXPECT_EQ(labels, (std::vector<uint32_t>{100, 200}));
+
+  EXPECT_FALSE(aft->next_hop(3)->drop);
+  EXPECT_EQ(aft->group(2)->next_hops, (std::vector<std::pair<uint64_t, uint64_t>>{{1, 2}}));
+  EXPECT_EQ(aft->ipv4_entry(pfx("10.2.0.0/16"))->origin_protocol, "STATIC");
+  EXPECT_EQ(aft->forward(addr("10.2.3.4")).size(), 1u);
+  EXPECT_EQ(aft->to_json().dump(), expected->to_json().dump());
+  EXPECT_EQ(aft->add_next_hop(NextHop{}), 4u);  // the last index plus one
 }
 
 TEST(Aft, FromJsonRejectsGarbage) {

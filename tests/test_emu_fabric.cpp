@@ -123,8 +123,8 @@ TEST(Fabric, ExternalPeerEstablishesAndInjects) {
   // All 25 routes present on every router via the iBGP mesh.
   for (const auto& device : emulation.dump_afts()) {
     size_t injected = 0;
-    for (const auto& [prefix, entry] : device.aft.ipv4_entries())
-      if (prefix.address().bits() >> 29 == 1) ++injected;  // 32.0.0.0/3 space
+    for (const aft::Ipv4Entry& entry : device.aft.ipv4_entries())
+      if (entry.prefix.address().bits() >> 29 == 1) ++injected;  // 32.0.0.0/3 space
     EXPECT_EQ(injected, 25u) << device.node;
   }
 }

@@ -270,6 +270,24 @@ TEST(ForkSharing, PerturbationClonesOnlyTheStateItChanges) {
   }
 }
 
+// A router holds its FIB by value; a fork shares the base's tables until a
+// patch replaces them. A gRIBI route on one router of the ring, via
+// another router's loopback, replaces only that router's tables.
+TEST(ForkSharing, GribiRouteLeavesOtherFibsShared) {
+  emu::Topology topology = sharing::six_routers(false);
+  std::unique_ptr<emu::Emulation> base = sharing::boot(topology);
+  std::unique_ptr<emu::Emulation> fork = base->fork();
+  const net::NodeName& programmed = topology.nodes[1].name;
+  fork->router(programmed)
+      ->program_route(*net::Ipv4Prefix::parse("198.51.100.0/24"),
+                      {*net::Ipv4Address::parse("10.1.0.3")});
+  ASSERT_TRUE(fork->run_to_convergence());
+  for (const net::NodeName& node : base->node_names())
+    EXPECT_EQ(fork->router(node)->fib().shares_tables(base->router(node)->fib()),
+              node != programmed)
+        << node;
+}
+
 TEST(ForkSharing, ConcurrentForksLeaveTheBaseUntouched) {
   workload::WanOptions options;
   options.routers = 30;

@@ -60,6 +60,25 @@ TEST(FuzzGenerator, CasesSurviveJsonRoundTrip) {
   }
 }
 
+// A zero-latency link makes add_topology reject the case: every oracle that
+// boots the topology reports a skip, which is not a failure. The dialect
+// oracle reads the config text only, so it still runs.
+TEST(FuzzOracles, RejectedTopologyIsSkippedNotFailed) {
+  FuzzCase c;
+  for (uint64_t seed = 0; seed < 50 && c.topology.links.empty(); ++seed)
+    if (FuzzCase candidate = generate_case(seed); candidate.mode == Mode::kWan) c = candidate;
+  ASSERT_FALSE(c.topology.links.empty()) << "no WAN case in seeds 0..50";
+  c.topology.links[0].latency_micros = 0;
+
+  std::vector<Verdict> verdicts = run_oracles(c, kOracleAll);
+  EXPECT_EQ(verdicts.size(), 8u);
+  for (const Verdict& verdict : verdicts) {
+    EXPECT_TRUE(verdict.ok) << oracle_name(verdict.oracle) << ": " << verdict.detail;
+    EXPECT_EQ(verdict.skipped, verdict.oracle != kOracleDialect)
+        << oracle_name(verdict.oracle) << ": " << verdict.detail;
+  }
+}
+
 TEST(FuzzMinimizer, ShrinksToPredicateCore) {
   // Find a WAN-mode case, then shrink under a synthetic failure
   // predicate: "some node's config enables BGP". The minimizer should

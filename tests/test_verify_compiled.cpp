@@ -156,8 +156,8 @@ void expect_compiled_matches_aft(const ForwardingGraph& graph) {
 
     ASSERT_EQ(graph.routes(id).size(), aft.ipv4_entries().size()) << node;
     size_t r = 0;
-    for (const auto& [prefix, entry] : aft.ipv4_entries())
-      EXPECT_EQ(graph.routes(id)[r++].entry, &entry) << node << " " << prefix.to_string();
+    for (const aft::Ipv4Entry& entry : aft.ipv4_entries())
+      EXPECT_EQ(graph.routes(id)[r++].entry, &entry) << node << " " << entry.prefix.to_string();
 
     for (net::Ipv4Address probe : probes) {
       std::string where = node + " @ " + probe.to_string();
@@ -175,12 +175,12 @@ void expect_compiled_matches_aft(const ForwardingGraph& graph) {
     }
 
     ASSERT_EQ(graph.labels(id).size(), aft.label_entries().size()) << node;
-    for (const auto& [label, entry] : aft.label_entries()) {
-      std::string where = node + " label " + std::to_string(label);
-      expect_hops_match(graph, device, graph.label_hops(id, label),
+    for (const aft::LabelEntry& entry : aft.label_entries()) {
+      std::string where = node + " label " + std::to_string(entry.label);
+      expect_hops_match(graph, device, graph.label_hops(id, entry.label),
                         reference_hops(aft, entry.next_hop_group), net::Ipv4Address(), where);
-      if (!aft.label_entries().count(label + 1)) {
-        EXPECT_TRUE(graph.label_hops(id, label + 1).empty()) << where;
+      if (aft.label_entry(entry.label + 1) == nullptr) {
+        EXPECT_TRUE(graph.label_hops(id, entry.label + 1).empty()) << where;
       }
     }
     ++id;

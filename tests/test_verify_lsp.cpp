@@ -58,7 +58,7 @@ TEST_F(LspFixture, LabelEntriesAppearInSnapshot) {
 
   // The swap entry points at R3 with the tail's label.
   const auto& r2_aft = snapshot.devices.at("R2").aft;
-  const auto& [in_label, entry] = *r2_aft.label_entries().begin();
+  const aft::LabelEntry& entry = r2_aft.label_entries().front();
   auto group = r2_aft.group(entry.next_hop_group);
   ASSERT_NE(group, nullptr);
   const aft::NextHop* hop = r2_aft.next_hop(group->next_hops[0].first);
@@ -96,7 +96,7 @@ TEST_F(LspFixture, BrokenLabelChainIsDetected) {
   gnmi::Snapshot corrupted = snapshot;
   aft::DeviceAft& r2 = corrupted.devices.at("R2");
   aft::Aft rebuilt;
-  for (const auto& [prefix, entry] : r2.aft.ipv4_entries()) {
+  for (const aft::Ipv4Entry& entry : r2.aft.ipv4_entries()) {
     // Copy IP entries only, drop the MPLS table.
     std::vector<aft::NextHop> hops;
     const aft::NextHopGroup* group = r2.aft.group(entry.next_hop_group);
@@ -119,7 +119,7 @@ TEST_F(LspFixture, DifferentialCatchesLspCorruption) {
   gnmi::Snapshot corrupted = snapshot;
   // Point R2's swap at a bogus label so R3 drops it.
   aft::DeviceAft& r2 = corrupted.devices.at("R2");
-  auto [in_label, entry] = *r2.aft.label_entries().begin();
+  aft::LabelEntry entry = r2.aft.label_entries().front();
   aft::NextHop bogus;
   bogus.label_op = aft::LabelOp::kSwap;
   bogus.label = 999999;  // no binding at R3
