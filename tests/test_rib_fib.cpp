@@ -454,6 +454,22 @@ TEST(FibPatcher, UnchangedRibKeepsTheSharedTable) {
   EXPECT_TRUE(fib.shares_tables(shared));
 }
 
+// A dirty prefix that compiles to the entry it already has runs the whole
+// walk, which changes nothing, so the table stays shared as well.
+TEST(FibPatcher, RecompiledEqualTableStaysShared) {
+  Rib rib = typical_rib();
+  aft::Aft fib;
+  FibPatcher patcher;
+  EXPECT_TRUE(patcher.patch(rib, fib).changed);
+  aft::Aft shared = fib;
+  RibRoute route = rib.best(pfx("2.2.2.2/32")).front();
+  rib.remove(route);
+  rib.add(route);
+  FibPatcher::Result result = patcher.patch(rib, fib);
+  EXPECT_FALSE(result.changed);
+  EXPECT_TRUE(fib.shares_tables(shared));
+}
+
 TEST(RibDirty, MutationsMarkWhatTheyTouch) {
   Rib rib = typical_rib();
   Rib::Dirty dirty = rib.take_dirty();
