@@ -29,24 +29,35 @@ TEST_F(CliFixture, ShowIpRouteListsAllProtocols) {
 }
 
 TEST_F(CliFixture, ShowIsisNeighbors) {
-  std::string output = show_isis_neighbors(*emulation.router("R3"));
-  EXPECT_NE(output.find("UP"), std::string::npos);
-  EXPECT_NE(output.find("Ethernet2"), std::string::npos);
-  EXPECT_NE(output.find("Ethernet3"), std::string::npos);
+  EXPECT_EQ(show_isis_neighbors(*emulation.router("R3")),
+            "IS-IS Instance: default\n"
+            "  System Id       Interface     State  Address\n"
+            "  0000.0000.0004  Ethernet2  UP    100.64.34.1\n"
+            "  0000.0000.0006  Ethernet3  UP    100.64.36.1\n");
 }
 
 TEST_F(CliFixture, ShowIsisDatabaseListsAllAs3Lsps) {
-  std::string output = show_isis_database(*emulation.router("R4"));
   // AS3 runs IS-IS among R3, R4, R6: three LSPs.
-  EXPECT_NE(output.find("LSPID"), std::string::npos);
-  EXPECT_NE(output.find("IP Reachability"), std::string::npos);
-  int lsps = 0;
-  size_t pos = 0;
-  while ((pos = output.find("LSPID", pos)) != std::string::npos) {
-    ++lsps;
-    pos += 5;
-  }
-  EXPECT_EQ(lsps, 3);
+  EXPECT_EQ(show_isis_database(*emulation.router("R4")),
+            "IS-IS Instance: default Level-2 Link State Database\n"
+            "  LSPID 0000.0000.0003.00-00  Seq 3\n"
+            "    IS Neighbor    0000.0000.0004  Metric 10\n"
+            "    IS Neighbor    0000.0000.0006  Metric 10\n"
+            "    IP Reachability 10.0.0.3/32  Metric 10\n"
+            "    IP Reachability 100.64.34.0/31  Metric 10\n"
+            "    IP Reachability 100.64.36.0/31  Metric 10\n"
+            "  LSPID 0000.0000.0004.00-00  Seq 3\n"
+            "    IS Neighbor    0000.0000.0003  Metric 10\n"
+            "    IS Neighbor    0000.0000.0006  Metric 10\n"
+            "    IP Reachability 10.0.0.4/32  Metric 10\n"
+            "    IP Reachability 100.64.34.0/31  Metric 10\n"
+            "    IP Reachability 100.64.46.0/31  Metric 10\n"
+            "  LSPID 0000.0000.0006.00-00  Seq 3\n"
+            "    IS Neighbor    0000.0000.0003  Metric 10\n"
+            "    IS Neighbor    0000.0000.0004  Metric 10\n"
+            "    IP Reachability 10.0.0.6/32  Metric 10\n"
+            "    IP Reachability 100.64.36.0/31  Metric 10\n"
+            "    IP Reachability 100.64.46.0/31  Metric 10\n");
 }
 
 TEST_F(CliFixture, ShowBgpSummaryStates) {

@@ -211,62 +211,72 @@ std::unique_ptr<emu::Emulation> boot(const emu::Topology& topology) {
   return emulation;
 }
 
-emu::Topology six_routers(bool line) {
+using Igp = workload::WanOptions::Igp;
+
+emu::Topology six_routers(bool line, Igp igp = Igp::kIsis) {
   workload::WanOptions options;
   options.routers = 6;
   options.seed = 11;
   options.extra_chords = line ? 0 : 2;
   options.line = line;
+  options.igp = igp;
   return workload::wan_topology(options);
 }
+
+const char* name(Igp igp) { return igp == Igp::kIsis ? "isis" : "ospf"; }
 
 uint64_t clones() { return util::cow_clone_count().load(); }
 
 }  // namespace sharing
 
 TEST(ForkSharing, UnperturbedForkClonesNothing) {
-  std::unique_ptr<emu::Emulation> base = sharing::boot(sharing::six_routers(false));
-  const uint64_t before = sharing::clones();
-  {
-    std::unique_ptr<emu::Emulation> fork = base->fork();
-    ASSERT_NE(fork, nullptr);
-    ASSERT_TRUE(fork->run_to_convergence());
-    EXPECT_EQ(state_digest(*fork), state_digest(*base));
+  for (sharing::Igp igp : {sharing::Igp::kIsis, sharing::Igp::kOspf}) {
+    std::unique_ptr<emu::Emulation> base = sharing::boot(sharing::six_routers(false, igp));
+    const uint64_t before = sharing::clones();
+    {
+      std::unique_ptr<emu::Emulation> fork = base->fork();
+      ASSERT_NE(fork, nullptr);
+      ASSERT_TRUE(fork->run_to_convergence());
+      EXPECT_EQ(state_digest(*fork), state_digest(*base)) << sharing::name(igp);
+    }
+    EXPECT_EQ(sharing::clones() - before, 0u) << sharing::name(igp);
   }
-  EXPECT_EQ(sharing::clones() - before, 0u);
 }
 
 // Every RIB and LSDB a perturbation changes is cloned once; every other
-// one stays shared with the base. A cut on the line reaches every router:
-// they all store the cut routers' new LSPs and lose the link's subnet. A
-// gRIBI route programmed on one router of the ring changes only that
-// router's RIB.
+// one stays shared with the base, on either IGP. A cut on the line
+// reaches every router: they all store the cut routers' new LSPs and lose
+// the link's subnet. A gRIBI route programmed on one router of the ring
+// changes only that router's RIB.
 TEST(ForkSharing, PerturbationClonesOnlyTheStateItChanges) {
-  for (bool line : {true, false}) {
-    emu::Topology topology = sharing::six_routers(line);
-    std::unique_ptr<emu::Emulation> base = sharing::boot(topology);
-    std::unique_ptr<emu::Emulation> fork = base->fork();
-    const uint64_t before = sharing::clones();
-    if (line) {
-      const emu::LinkSpec& cut = topology.links[2];
-      ASSERT_TRUE(scenario::ScenarioRunner::apply(*fork, scenario::LinkCut{cut.a, cut.b}));
-    } else {
-      fork->router(topology.nodes[1].name)
-          ->program_route(*net::Ipv4Prefix::parse("198.51.100.0/24"),
-                          {*net::Ipv4Address::parse("10.0.0.3")});
-    }
-    ASSERT_TRUE(fork->run_to_convergence());
-    const uint64_t cloned = sharing::clones() - before;
+  for (sharing::Igp igp : {sharing::Igp::kIsis, sharing::Igp::kOspf}) {
+    for (bool line : {true, false}) {
+      emu::Topology topology = sharing::six_routers(line, igp);
+      std::unique_ptr<emu::Emulation> base = sharing::boot(topology);
+      std::unique_ptr<emu::Emulation> fork = base->fork();
+      const uint64_t before = sharing::clones();
+      if (line) {
+        const emu::LinkSpec& cut = topology.links[2];
+        ASSERT_TRUE(scenario::ScenarioRunner::apply(*fork, scenario::LinkCut{cut.a, cut.b}));
+      } else {
+        fork->router(topology.nodes[1].name)
+            ->program_route(*net::Ipv4Prefix::parse("198.51.100.0/24"),
+                            {*net::Ipv4Address::parse("10.0.0.3")});
+      }
+      ASSERT_TRUE(fork->run_to_convergence());
+      const uint64_t cloned = sharing::clones() - before;
 
-    size_t ribs = 0;
-    size_t lsdbs = 0;
-    for (const net::NodeName& node : base->node_names()) {
-      ribs += rib_dump(*fork->router(node)) != rib_dump(*base->router(node));
-      lsdbs += lsdb_dump(*fork->router(node)) != lsdb_dump(*base->router(node));
+      size_t ribs = 0;
+      size_t lsdbs = 0;
+      for (const net::NodeName& node : base->node_names()) {
+        ribs += rib_dump(*fork->router(node)) != rib_dump(*base->router(node));
+        lsdbs += lsdb_dump(*fork->router(node)) != lsdb_dump(*base->router(node));
+      }
+      const std::string where = std::string(sharing::name(igp)) + (line ? " line" : " ring");
+      EXPECT_EQ(cloned, ribs + lsdbs) << where;
+      EXPECT_EQ(ribs, line ? topology.nodes.size() : 1u) << where;
+      EXPECT_EQ(lsdbs, line ? topology.nodes.size() : 0u) << where;
     }
-    EXPECT_EQ(cloned, ribs + lsdbs) << (line ? "line" : "ring");
-    EXPECT_EQ(ribs, line ? topology.nodes.size() : 1u);
-    EXPECT_EQ(lsdbs, line ? topology.nodes.size() : 0u);
   }
 }
 

@@ -308,10 +308,22 @@ TEST(Ospf, CliShowCommands) {
 
   auto neighbors = cli::run_command(*emulation.router("R1"), "show ip ospf neighbor");
   ASSERT_TRUE(neighbors.ok());
-  EXPECT_NE(neighbors->find("FULL"), std::string::npos);
+  EXPECT_EQ(*neighbors,
+            "OSPF Process 1, Router ID 10.0.0.1\n"
+            "  Neighbor ID      Interface     State  Address\n"
+            "  10.0.0.2  Ethernet1  FULL  100.64.0.1\n");
   auto database = cli::run_command(*emulation.router("R1"), "show ip ospf database");
   ASSERT_TRUE(database.ok());
-  EXPECT_NE(database->find("LSA"), std::string::npos);
+  EXPECT_EQ(*database,
+            "OSPF Router Link States (Area 0)\n"
+            "  LSA 10.0.0.1  Seq 2\n"
+            "    Neighbor 10.0.0.2  Metric 10\n"
+            "    Prefix 10.0.0.1/32  Metric 10\n"
+            "    Prefix 100.64.0.0/31  Metric 10\n"
+            "  LSA 10.0.0.2  Seq 2\n"
+            "    Neighbor 10.0.0.1  Metric 10\n"
+            "    Prefix 10.0.0.2/32  Metric 10\n"
+            "    Prefix 100.64.0.0/31  Metric 10\n");
   auto routes = cli::run_command(*emulation.router("R1"), "show ip route");
   ASSERT_TRUE(routes.ok());
   EXPECT_NE(routes->find(" O"), std::string::npos);
