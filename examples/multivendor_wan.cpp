@@ -58,7 +58,7 @@ int main() {
   std::printf("Snapshot: %zu FIB entries across the WAN\n", entries);
 
   // Operator tooling works the same regardless of vendor:
-  emu::Emulation* live = session.emulation("wan");
+  const emu::Emulation* live = session.emulation("wan");
   for (const auto& name : {"wan0", "wan1"}) {
     auto* router = live->router(name);
     if (router == nullptr) continue;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   api::Session session;
   if (!session.init_snapshot(workload::fig2_topology(true), "wan").ok()) return 1;
-  emu::Emulation* live = session.emulation("wan");
+  const emu::Emulation* live = session.emulation("wan");
 
   // Step 1: verification flags the problem.
   auto trace = session.traceroute("wan", "R4", *net::Ipv4Address::parse("10.0.0.5"));

@@ -110,17 +110,21 @@ int main() {
   std::printf("Protocol-free fabric before programming: %zu/%zu pairs reachable\n",
               before->reachable_pairs, before->total_pairs);
 
-  // The controller programs the fabric through gRIBI.
-  emu::Emulation* live = session.emulation("unprogrammed");
-  ControllerView view = learn_topology(topology, *live);
-  gribi::GribiClient client(*live);
+  // The controller programs its own boot of the same fabric through gRIBI
+  // (a session's snapshots are read-only).
+  emu::Emulation live;
+  if (!live.add_topology(topology).ok()) return 1;
+  live.start_all();
+  live.run_to_convergence();
+  ControllerView view = learn_topology(topology, live);
+  gribi::GribiClient client(live);
   size_t programmed = program_fabric(view, client);
-  live->run_to_convergence();
+  live.run_to_convergence();
   std::printf("Controller programmed %zu routes across %zu devices\n", programmed,
               view.loopbacks.size());
 
   // Re-extract and verify: same pipeline, no protocols involved.
-  gnmi::Snapshot snapshot = gnmi::Snapshot::capture(*live, "programmed");
+  gnmi::Snapshot snapshot = gnmi::Snapshot::capture(live, "programmed");
   session.add_snapshot(snapshot, "programmed");
   auto after = session.pairwise_reachability("programmed");
   std::printf("After programming: %zu/%zu pairs reachable%s\n", after->reachable_pairs,
@@ -128,11 +132,11 @@ int main() {
 
   // Buggy controller rollout: wan3 is skipped. Differential reachability
   // catches it before deployment.
-  live->router("wan3")->unprogram_all();
+  live.router("wan3")->unprogram_all();
   // Re-program everything except wan3 (simulating the partial rollout).
   program_fabric(view, client, /*skip=*/"wan3");
-  live->run_to_convergence();
-  session.add_snapshot(gnmi::Snapshot::capture(*live, "buggy"), "buggy");
+  live.run_to_convergence();
+  session.add_snapshot(gnmi::Snapshot::capture(live, "buggy"), "buggy");
   auto diff = session.differential_reachability("programmed", "buggy");
   auto regressions = diff->regressions();
   std::printf("\nBuggy rollout (wan3 skipped): %zu regressions, e.g.\n",

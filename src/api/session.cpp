@@ -105,9 +105,9 @@ std::vector<std::string> Session::snapshot_names() const {
   return names;
 }
 
-emu::Emulation* Session::emulation(const std::string& name) {
-  auto it = snapshots_.find(name);
-  return it == snapshots_.end() ? nullptr : it->second.state.emulation.get();
+const emu::Emulation* Session::emulation(const std::string& name) const {
+  const Entry* entry = find(name);
+  return entry == nullptr ? nullptr : entry->state.emulation.get();
 }
 
 const scenario::VerifiedState* Session::state_for(const std::string& name) const {

@@ -85,8 +85,10 @@ class Session {
   std::vector<std::string> snapshot_names() const;
 
   /// The live emulation behind a model-free snapshot (for CLI poking);
-  /// nullptr for model-based or imported snapshots.
-  emu::Emulation* emulation(const std::string& name);
+  /// nullptr for model-based or imported snapshots. Read-only: the
+  /// snapshot's graph and cache describe this state, and forks start from
+  /// it, so perturb a fork_snapshot or an emulation of your own instead.
+  const emu::Emulation* emulation(const std::string& name) const;
 
   // -- questions (Pybatfish-style) --
   util::Result<verify::ReachabilityResult> reachability(

@@ -102,7 +102,7 @@ std::string show_isis_database(const vrouter::VirtualRouter& router) {
   for (const proto::IsisLspPtr& lsp : router.isis()->database()) {
     out << "  LSPID " << lsp->origin.to_string() << ".00-00  Seq " << lsp->sequence << "\n";
     for (const auto& neighbor : lsp->neighbors)
-      out << "    IS Neighbor    " << neighbor.system_id.to_string() << "  Metric "
+      out << "    IS Neighbor    " << neighbor.id.to_string() << "  Metric "
           << neighbor.metric << "\n";
     for (const auto& prefix : lsp->prefixes)
       out << "    IP Reachability " << prefix.prefix.to_string() << "  Metric "
@@ -122,7 +122,7 @@ std::string show_ospf_neighbors(const vrouter::VirtualRouter& router) {
       << "  Neighbor ID      Interface     State  Address\n";
   for (const auto& [interface, adjacency] : router.ospf()->adjacencies()) {
     out << "  " << adjacency.neighbor.to_string() << "  " << interface << "  "
-        << (adjacency.state == proto::OspfAdjacency::State::kFull ? "FULL " : "INIT ")
+        << (adjacency.state == proto::OspfAdjacency::State::kUp ? "FULL " : "INIT ")
         << " " << adjacency.neighbor_address.to_string() << "\n";
   }
   return out.str();
@@ -138,7 +138,7 @@ std::string show_ospf_database(const vrouter::VirtualRouter& router) {
   for (const proto::OspfLsaPtr& lsa : router.ospf()->database()) {
     out << "  LSA " << lsa->origin.to_string() << "  Seq " << lsa->sequence << "\n";
     for (const auto& neighbor : lsa->neighbors)
-      out << "    Neighbor " << neighbor.router_id.to_string() << "  Metric "
+      out << "    Neighbor " << neighbor.id.to_string() << "  Metric "
           << neighbor.metric << "\n";
     for (const auto& prefix : lsa->prefixes)
       out << "    Prefix " << prefix.prefix.to_string() << "  Metric " << prefix.metric

@@ -78,12 +78,12 @@ enum Oracle : uint32_t {
   /// is too large or the exploration hit a cap — membership is only a
   /// theorem for complete enumerations.
   kOracleExplore = 1u << 6,
-  /// Incremental FIB compile and IS-IS diff install vs full rebuilds:
+  /// Incremental FIB compile and IGP diff install vs full rebuilds:
   /// after boot and after each perturbation's re-convergence (on a fork),
   /// every router's exported tables (default instance, VRF instances,
   /// label entries) must equal a from-scratch compile of its RIBs, and its
-  /// IS-IS routes must equal a full replace_protocol reinstall of its last
-  /// SPF run.
+  /// IS-IS and OSPF routes must each equal a full replace_protocol
+  /// reinstall of that IGP's last SPF run.
   kOracleFib = 1u << 7,
 
   kOracleAll = kOracleEngines | kOracleFork | kOracleStore | kOracleDialect |

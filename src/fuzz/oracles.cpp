@@ -621,22 +621,30 @@ Verdict check_explore(const FuzzCase& c) {
   return pass(kOracleExplore);
 }
 
-// -- oracle 8: patched FIBs and diff-installed IS-IS routes vs rebuilds ----
+// -- oracle 8: patched FIBs and diff-installed IGP routes vs rebuilds ------
+
+/// True when `engine`'s routes in `router`'s RIB equal a full
+/// replace_protocol reinstall of its last SPF run.
+template <typename Engine>
+bool installs_its_spf(const vrouter::VirtualRouter& router, const Engine* engine) {
+  if (engine == nullptr) return true;
+  rib::Rib reinstalled = router.routing_table();
+  return !reinstalled.replace_protocol(engine->rib_protocol(), engine->source(),
+                                       engine->spf_routes());
+}
 
 /// Empty when every router's exported tables equal a from-scratch compile
-/// of its RIBs and its IS-IS routes equal a full reinstall of its last SPF
-/// run; otherwise names the first router that breaks either.
+/// of its RIBs and each IGP's routes equal a full reinstall of its last
+/// SPF run; otherwise names the first router that breaks either.
 std::string fib_mismatch(const emu::Emulation& emulation) {
   for (const net::NodeName& name : emulation.node_names()) {
     const vrouter::VirtualRouter* router = emulation.router(name);
     if (router->device_aft() != router->recompiled_device_aft())
       return name + ": patched FIB differs from a from-scratch compile";
-    if (const proto::IsisEngine* isis = router->isis()) {
-      rib::Rib reinstalled = router->routing_table();
-      if (reinstalled.replace_protocol(rib::Protocol::kIsis, isis->instance(),
-                                       isis->spf_routes()))
-        return name + ": IS-IS routes differ from a full reinstall of the last SPF run";
-    }
+    if (!installs_its_spf(*router, router->isis()))
+      return name + ": IS-IS routes differ from a full reinstall of the last SPF run";
+    if (!installs_its_spf(*router, router->ospf()))
+      return name + ": OSPF routes differ from a full reinstall of the last SPF run";
   }
   return "";
 }

@@ -18,6 +18,36 @@
 namespace mfv::proto {
 
 // ---------------------------------------------------------------------------
+// Link-state records: IS-IS LSPs and OSPF router LSAs
+
+/// One router's adjacencies and attached prefixes, keyed by its IGP's
+/// router identifier. Immutable once originated: floods and databases
+/// share it by pointer (IsisLspPtr, OspfLsaPtr).
+template <typename Id>
+struct LinkStateRecord {
+  struct Neighbor {
+    Id id;
+    uint32_t metric = 10;
+    auto operator<=>(const Neighbor&) const = default;
+  };
+  struct Prefix {
+    net::Ipv4Prefix prefix;
+    uint32_t metric = 0;
+    auto operator<=>(const Prefix&) const = default;
+  };
+
+  Id origin;
+  uint32_t sequence = 0;
+  std::vector<Neighbor> neighbors;
+  std::vector<Prefix> prefixes;
+
+  bool same_content(const LinkStateRecord& other) const {
+    return origin == other.origin && neighbors == other.neighbors &&
+           prefixes == other.prefixes;
+  }
+};
+
+// ---------------------------------------------------------------------------
 // IS-IS
 
 /// 6-byte system identifier, printed as "1010.1040.1030".
@@ -42,31 +72,7 @@ struct IsisHello {
   std::vector<SystemId> seen_neighbors;
 };
 
-/// One reachability item inside an LSP.
-struct IsisLspNeighbor {
-  SystemId system_id;
-  uint32_t metric = 10;
-  auto operator<=>(const IsisLspNeighbor&) const = default;
-};
-struct IsisLspPrefix {
-  net::Ipv4Prefix prefix;
-  uint32_t metric = 0;
-  auto operator<=>(const IsisLspPrefix&) const = default;
-};
-
-/// Immutable once originated: floods and databases share it by pointer
-/// (IsisLspPtr).
-struct IsisLsp {
-  SystemId origin;
-  uint32_t sequence = 0;
-  std::vector<IsisLspNeighbor> neighbors;
-  std::vector<IsisLspPrefix> prefixes;
-
-  bool same_content(const IsisLsp& other) const {
-    return origin == other.origin && neighbors == other.neighbors &&
-           prefixes == other.prefixes;
-  }
-};
+using IsisLsp = LinkStateRecord<SystemId>;
 using IsisLspPtr = std::shared_ptr<const IsisLsp>;
 
 // ---------------------------------------------------------------------------
@@ -79,30 +85,7 @@ struct OspfHello {
   std::vector<net::RouterId> seen_neighbors;
 };
 
-struct OspfLsaNeighbor {
-  net::RouterId router_id;
-  uint32_t metric = 10;
-  auto operator<=>(const OspfLsaNeighbor&) const = default;
-};
-struct OspfLsaPrefix {
-  net::Ipv4Prefix prefix;
-  uint32_t metric = 0;
-  auto operator<=>(const OspfLsaPrefix&) const = default;
-};
-
-/// Router LSA: this router's adjacencies and attached prefixes. Immutable
-/// once originated, like IsisLsp.
-struct OspfLsa {
-  net::RouterId origin;
-  uint32_t sequence = 0;
-  std::vector<OspfLsaNeighbor> neighbors;
-  std::vector<OspfLsaPrefix> prefixes;
-
-  bool same_content(const OspfLsa& other) const {
-    return origin == other.origin && neighbors == other.neighbors &&
-           prefixes == other.prefixes;
-  }
-};
+using OspfLsa = LinkStateRecord<net::RouterId>;
 using OspfLsaPtr = std::shared_ptr<const OspfLsa>;
 
 // ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ void VirtualRouter::start() {
   install_connected_routes();
   install_static_routes();
 
-  isis_ = std::make_unique<proto::IsisEngine>(*this, config_.isis);
+  isis_ = std::make_unique<proto::IsisEngine>(*this, config_);
   ospf_ = std::make_unique<proto::OspfEngine>(*this, config_);
   bgp_ = std::make_unique<proto::BgpEngine>(*this, config_, options_.bgp);
   te_ = std::make_unique<proto::TeEngine>(*this, config_, options_.te);

@@ -67,7 +67,7 @@ TEST(Session, SnapshotNamesAndInfo) {
 TEST(Session, LiveEmulationAccessForCliPoking) {
   Session session;
   ASSERT_TRUE(session.init_snapshot(workload::fig3_line_topology(), "emu").ok());
-  emu::Emulation* emulation = session.emulation("emu");
+  const emu::Emulation* emulation = session.emulation("emu");
   ASSERT_NE(emulation, nullptr);
   auto* router = emulation->router("R2");
   ASSERT_NE(router, nullptr);

@@ -69,14 +69,14 @@ std::string lsdb_dump(const vrouter::VirtualRouter& router) {
     out += "\n isis spf " + std::to_string(isis->spf_runs());
     for (const proto::IsisLspPtr& lsp : isis->database()) {
       append_lsp(out, *lsp);
-      for (const auto& neighbor : lsp->neighbors) out += ' ' + neighbor.system_id.to_string();
+      for (const auto& neighbor : lsp->neighbors) out += ' ' + neighbor.id.to_string();
     }
   }
   if (const proto::OspfEngine* ospf = router.ospf()) {
     out += "\n ospf spf " + std::to_string(ospf->spf_runs());
     for (const proto::OspfLsaPtr& lsa : ospf->database()) {
       append_lsp(out, *lsa);
-      for (const auto& neighbor : lsa->neighbors) out += ' ' + neighbor.router_id.to_string();
+      for (const auto& neighbor : lsa->neighbors) out += ' ' + neighbor.id.to_string();
     }
   }
   return out;
