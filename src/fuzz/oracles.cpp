@@ -626,7 +626,7 @@ Verdict check_explore(const FuzzCase& c) {
 /// True when `engine`'s routes in `router`'s RIB equal a full
 /// replace_protocol reinstall of its last SPF run.
 template <typename Engine>
-bool installs_its_spf(const vrouter::VirtualRouter& router, const Engine* engine) {
+bool matches_spf_reinstall(const vrouter::VirtualRouter& router, const Engine* engine) {
   if (engine == nullptr) return true;
   rib::Rib reinstalled = router.routing_table();
   return !reinstalled.replace_protocol(engine->rib_protocol(), engine->source(),
@@ -641,9 +641,9 @@ std::string fib_mismatch(const emu::Emulation& emulation) {
     const vrouter::VirtualRouter* router = emulation.router(name);
     if (router->device_aft() != router->recompiled_device_aft())
       return name + ": patched FIB differs from a from-scratch compile";
-    if (!installs_its_spf(*router, router->isis()))
+    if (!matches_spf_reinstall(*router, router->isis()))
       return name + ": IS-IS routes differ from a full reinstall of the last SPF run";
-    if (!installs_its_spf(*router, router->ospf()))
+    if (!matches_spf_reinstall(*router, router->ospf()))
       return name + ": OSPF routes differ from a full reinstall of the last SPF run";
   }
   return "";

@@ -97,7 +97,9 @@ class LinkStateEngine {
   std::vector<rib::RibRoute> spf_routes() const;
 
  private:
+  /// Only fork copies: pending timer callbacks hold `this`.
   LinkStateEngine(const LinkStateEngine&) = default;
+  LinkStateEngine& operator=(const LinkStateEngine&) = delete;
 
   /// Hellos run where the protocol runs adjacencies and the interface is up.
   bool adjacent(const InterfaceView& interface) const {
