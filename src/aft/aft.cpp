@@ -165,6 +165,43 @@ std::optional<LabelOp> parse_label_op(std::string_view name) {
 // ---------------------------------------------------------------------------
 // JSON (OpenConfig-shaped)
 
+namespace {
+
+// The json_length() counters mirror to_json() member by member. Compact
+// JSON follows every element of an array or object with one separator: a
+// ',' before the next element, the closing bracket after the last.
+
+/// Length of `"key":`, a `value`-byte value and the separator after it.
+constexpr size_t member(std::string_view key, size_t value) { return key.size() + 4 + value; }
+
+/// Length of an array element of `value` bytes and the separator after it.
+constexpr size_t element(size_t value) { return value + 1; }
+
+/// Length of an array or object whose elements, each counted with its
+/// separator, add up to `elements` bytes.
+constexpr size_t enclosed(size_t elements) { return elements == 0 ? 2 : 1 + elements; }
+
+/// util::Json holds a uint64_t as int64_t, so 2^63 and above dump negative.
+size_t id_length(uint64_t id) { return util::json_int_length(static_cast<int64_t>(id)); }
+
+/// Length of Ipv4Address::to_string(): three dots and each octet's digits.
+size_t address_length(net::Ipv4Address address) {
+  size_t length = 3;
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    uint32_t octet = (address.bits() >> shift) & 0xFF;
+    length += 1 + (octet >= 10) + (octet >= 100);
+  }
+  return length;
+}
+
+/// Length of a quoted "a.b.c.d/len", as Ipv4Prefix and InterfaceAddress
+/// write it.
+size_t quoted_prefix_length(net::Ipv4Address address, uint8_t prefix_length) {
+  return address_length(address) + 1 + util::json_int_length(prefix_length) + 2;
+}
+
+}  // namespace
+
 util::Json Aft::to_json() const {
   using util::Json;
   Json afts = Json::object();
@@ -221,6 +258,47 @@ util::Json Aft::to_json() const {
   afts["mpls"] = std::move(labels);
 
   return afts;
+}
+
+size_t Aft::json_length() const {
+  size_t next_hops = 0;
+  for (const NextHop& nh : tables_->next_hops) {
+    size_t record = member("index", id_length(nh.index));
+    if (nh.ip_address) record += member("ip-address", address_length(*nh.ip_address) + 2);
+    if (nh.interface) record += member("interface-ref", util::json_string_length(*nh.interface));
+    if (nh.drop) record += member("drop", 4);
+    if (nh.label_op != LabelOp::kNone)
+      record += member("label-op", label_op_name(nh.label_op).size() + 2) +
+                member("label", util::json_int_length(nh.label));
+    next_hops += element(enclosed(record));
+  }
+
+  size_t groups = 0;
+  for (const NextHopGroup& group : tables_->groups) {
+    size_t members = 0;
+    for (const auto& [index, weight] : group.next_hops)
+      members += element(
+          enclosed(member("index", id_length(index)) + member("weight", id_length(weight))));
+    groups += element(
+        enclosed(member("id", id_length(group.id)) + member("next-hops", enclosed(members))));
+  }
+
+  size_t entries = 0;
+  for (const Ipv4Entry& entry : tables_->ipv4_entries)
+    entries += element(enclosed(
+        member("prefix", quoted_prefix_length(entry.prefix.address(), entry.prefix.length())) +
+        member("next-hop-group", id_length(entry.next_hop_group)) +
+        member("origin-protocol", util::json_string_length(entry.origin_protocol)) +
+        member("metric", util::json_int_length(entry.metric))));
+
+  size_t labels = 0;
+  for (const LabelEntry& entry : tables_->label_entries)
+    labels += element(enclosed(member("label", util::json_int_length(entry.label)) +
+                               member("next-hop-group", id_length(entry.next_hop_group))));
+
+  return enclosed(member("next-hops", enclosed(next_hops)) +
+                  member("next-hop-groups", enclosed(groups)) +
+                  member("ipv4-unicast", enclosed(entries)) + member("mpls", enclosed(labels)));
 }
 
 util::Result<Aft> Aft::from_json(const util::Json& json) {
@@ -329,6 +407,16 @@ util::Json acl_to_json(const std::vector<AclRule>& rules) {
   return array;
 }
 
+size_t acl_json_length(const std::vector<AclRule>& rules) {
+  size_t elements = 0;
+  for (const AclRule& rule : rules)
+    elements += element(enclosed(
+        member("permit", rule.permit ? 4 : 5) +
+        member("destination",
+               quoted_prefix_length(rule.destination.address(), rule.destination.length()))));
+  return enclosed(elements);
+}
+
 util::Result<std::vector<AclRule>> acl_from_json(const util::Json& json) {
   std::vector<AclRule> rules;
   if (!json.is_array()) return util::invalid_argument("acl must be an array");
@@ -372,6 +460,32 @@ util::Json DeviceAft::to_json() const {
     j["instances"] = std::move(instances_json);
   }
   return j;
+}
+
+size_t DeviceAft::json_length() const {
+  size_t interfaces_json = 0;
+  for (const auto& [name, state] : interfaces) {
+    size_t iface = member("name", util::json_string_length(state.name));
+    if (state.address)
+      iface += member("address", quoted_prefix_length(state.address->address,
+                                                      state.address->subnet.length()));
+    iface += member("oper-status", state.oper_up ? 4 : 6);
+    if (!state.vrf.empty()) iface += member("vrf", util::json_string_length(state.vrf));
+    if (state.acl_in) iface += member("acl-in", acl_json_length(*state.acl_in));
+    if (state.acl_out) iface += member("acl-out", acl_json_length(*state.acl_out));
+    interfaces_json += element(enclosed(iface));
+  }
+  size_t length = member("node", util::json_string_length(node)) +
+                  member("interfaces", enclosed(interfaces_json)) +
+                  member("afts", aft.json_length());
+  if (!instances.empty()) {
+    // Keyed by instance name: `"<name>":<afts>` and its separator.
+    size_t instances_json = 0;
+    for (const auto& [name, instance_aft] : instances)
+      instances_json += util::json_string_length(name) + 2 + instance_aft.json_length();
+    length += member("instances", enclosed(instances_json));
+  }
+  return enclosed(length);
 }
 
 util::Result<DeviceAft> DeviceAft::from_json(const util::Json& json) {

@@ -136,6 +136,9 @@ class Aft {
   bool forwarding_equal(const Aft& other) const;
 
   util::Json to_json() const;
+  /// to_json().dump().size(), counted from the tables without building
+  /// the document.
+  size_t json_length() const;
   /// Records may come in any order; a repeated key keeps its last record.
   static util::Result<Aft> from_json(const util::Json& json);
 
@@ -196,6 +199,8 @@ struct DeviceAft {
   bool operator==(const DeviceAft&) const = default;
 
   util::Json to_json() const;
+  /// to_json().dump().size(), counted without building the document.
+  size_t json_length() const;
   static util::Result<DeviceAft> from_json(const util::Json& json);
 };
 

@@ -52,7 +52,8 @@ enum Oracle : uint32_t {
   /// perturbations: byte-identical snapshot JSON.
   kOracleFork = 1u << 1,
   /// SnapshotStore cache hit vs independent rebuild of the same key:
-  /// byte-identical snapshot JSON, for base and forked keys.
+  /// byte-identical snapshot JSON, for base and forked keys; each entry's
+  /// charge equals its snapshot's dumped JSON length.
   kOracleStore = 1u << 2,
   /// Config dialect round-trips (write∘parse fixpoint in both dialects)
   /// plus address-literal canonicalization: any literal the parser

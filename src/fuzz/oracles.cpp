@@ -188,7 +188,16 @@ Verdict check_fork(const FuzzCase& c) {
   return pass(kOracleFork);
 }
 
-// -- oracle 3: snapshot-store hit vs independent rebuild --------------------
+// -- oracle 3: snapshot-store hit vs independent rebuild, charge vs dump ----
+
+/// A failure when the store's charge for `entry` is not its snapshot's
+/// dumped JSON length (the store counts it without serializing).
+std::optional<Verdict> check_charge(const service::StoredSnapshot& entry, const char* kind) {
+  size_t dumped = entry.graph->snapshot().to_json().dump().size();
+  if (entry.bytes == dumped) return std::nullopt;
+  return fail(kOracleStore, std::string(kind) + " entry charged " + std::to_string(entry.bytes) +
+                                " bytes, its snapshot dumps " + std::to_string(dumped));
+}
 
 Verdict check_store(const FuzzCase& c) {
   service::SnapshotStore store;
@@ -199,6 +208,8 @@ Verdict check_store(const FuzzCase& c) {
 
   util::Result<service::SnapshotStore::Lease> first = store.get_or_build(service::kDefaultTenant, key, builder);
   if (!first.ok()) return skip(kOracleStore, first.status().message());
+  if (std::optional<Verdict> mischarged = check_charge(*first->entry, "base"))
+    return *mischarged;
   util::Result<service::SnapshotStore::Lease> second = store.get_or_build(service::kDefaultTenant, key, builder);
   if (!second.ok()) return fail(kOracleStore, "hit path failed after successful build");
   if (!second->hit) return fail(kOracleStore, "second lookup of one key was a miss");
@@ -220,6 +231,8 @@ Verdict check_store(const FuzzCase& c) {
   util::Result<service::SnapshotStore::Lease> forked =
       store.get_or_build(service::kDefaultTenant, fork_key, fork_builder);
   if (!forked.ok()) return skip(kOracleStore, forked.status().message());
+  if (std::optional<Verdict> mischarged = check_charge(*forked->entry, "fork"))
+    return *mischarged;
   util::Result<service::SnapshotStore::Lease> forked_hit =
       store.get_or_build(service::kDefaultTenant, fork_key, fork_builder);
   if (!forked_hit.ok() || !forked_hit->hit)

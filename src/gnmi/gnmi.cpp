@@ -127,6 +127,15 @@ util::Json Snapshot::to_json() const {
   return j;
 }
 
+size_t Snapshot::json_length() const {
+  // {"name":<name>,"devices":[<device>,<device>]}: each device counted with
+  // the ',' or ']' after it.
+  size_t devices_json = devices.empty() ? 2 : 1;
+  for (const auto& [node, device] : devices) devices_json += device.json_length() + 1;
+  return std::string_view(R"({"name":,"devices":})").size() + util::json_string_length(name) +
+         devices_json;
+}
+
 util::Result<Snapshot> Snapshot::from_json(const util::Json& json) {
   if (!json.is_object()) return util::invalid_argument("snapshot must be an object");
   Snapshot snapshot;

@@ -107,6 +107,9 @@ struct Snapshot {
   bool operator==(const Snapshot&) const = default;
 
   util::Json to_json() const;
+  /// to_json().dump().size(), counted without building the document: the
+  /// snapshot store's retention charge.
+  size_t json_length() const;
   static util::Result<Snapshot> from_json(const util::Json& json);
   static util::Result<Snapshot> from_json_text(std::string_view text);
 };

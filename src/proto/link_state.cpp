@@ -108,7 +108,6 @@ void LinkStateEngine<Protocol>::handle_hello(const net::InterfaceName& in_interf
 
   adjacency.neighbor = sender;
   adjacency.neighbor_address = hello.interface_address;
-  adjacency.interface = in_interface;
   adjacency.metric = protocol_.metric(*interface);
 
   // 3-way: Up only once the neighbor reports seeing us on this link.

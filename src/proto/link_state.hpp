@@ -25,14 +25,14 @@
 
 namespace mfv::proto {
 
-/// Adjacency on one interface; kUp is IS-IS's Up and OSPF's Full.
+/// Adjacency on one interface (its key in the engine's adjacency map); kUp is
+/// IS-IS's Up and OSPF's Full.
 template <typename Id>
 struct LinkStateAdjacency {
   enum class State { kInit, kUp };
   State state = State::kInit;
   Id neighbor;
   net::Ipv4Address neighbor_address;
-  net::InterfaceName interface;
   uint32_t metric = 10;
 };
 

@@ -142,10 +142,10 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   std::shared_ptr<StoredSnapshot> entry;
   if (built.ok() && *built != nullptr) {
     entry = std::move(*built);
-    // Charged before locking: serializing a large snapshot takes tens of
-    // milliseconds, and every other request's lookup waits on the lock.
+    // Charged before locking, as the snapshot's JSON length: counted from
+    // its tables (about 0.3 ms on a 50-router WAN), never serialized.
     if (entry->bytes == 0 && entry->graph != nullptr)
-      entry->bytes = entry->graph->snapshot().to_json().dump().size();
+      entry->bytes = entry->graph->snapshot().json_length();
   }
   // Entries this call evicts. Declared before the lock (as is `entry`, for
   // a rejected insert) so their last references drop after it is released.

@@ -105,8 +105,8 @@ struct StoredSnapshot : scenario::VerifiedState {
   /// get_or_build argument; 0 = unchecked). Distinguishes genuine content
   /// identity from a SnapshotKey collision on later hits.
   uint64_t content_check = 0;
-  /// Retention charge (the graph's snapshot JSON size unless the builder
-  /// set it).
+  /// Retention charge: the length of the graph's snapshot as JSON, counted
+  /// by gnmi::Snapshot::json_length(), unless the builder set it.
   size_t bytes = 0;
 };
 

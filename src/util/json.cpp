@@ -45,6 +45,32 @@ void escape_string(std::string& out, const std::string& text) {
   out += '"';
 }
 
+}  // namespace
+
+size_t json_int_length(int64_t value) {
+  uint64_t magnitude = value < 0 ? 0 - static_cast<uint64_t>(value) : static_cast<uint64_t>(value);
+  size_t length = value < 0 ? 2 : 1;
+  for (; magnitude >= 10; magnitude /= 10) ++length;
+  return length;
+}
+
+size_t json_string_length(std::string_view text) {
+  size_t length = 2;
+  for (char c : text) {
+    switch (c) {
+      case '"':
+      case '\\':
+      case '\n':
+      case '\t':
+      case '\r': length += 2; break;
+      default: length += static_cast<unsigned char>(c) < 0x20 ? 6 : 1;
+    }
+  }
+  return length;
+}
+
+namespace {
+
 void newline_indent(std::string& out, int indent, int depth) {
   if (indent <= 0) return;
   out += '\n';

@@ -109,4 +109,10 @@ class Json {
       value_;
 };
 
+/// Length of `value` as Json::dump() writes it.
+size_t json_int_length(int64_t value);
+
+/// Length of `text` as Json::dump() writes it: quoted, with its escapes.
+size_t json_string_length(std::string_view text);
+
 }  // namespace mfv::util

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "aft/aft.hpp"
+#include "gnmi/gnmi.hpp"
 #include "util/rng.hpp"
 
 namespace mfv::aft {
@@ -251,6 +252,137 @@ TEST(DeviceAft, JsonRoundTripWithInterfaces) {
   EXPECT_TRUE(restored->interfaces.at("Ethernet1").oper_up);
   EXPECT_FALSE(restored->interfaces.at("Ethernet2").oper_up);
   EXPECT_TRUE(restored->aft.forwarding_equal(device.aft));
+}
+
+// ---------------------------------------------------------------------------
+// json_length() against the dump it counts.
+
+/// Every escape the dump writes ('"', '\\', '\n', '\t', '\r' and bytes
+/// below 0x20, NUL among them), then a UTF-8 byte pair it copies as is.
+const std::string kEscapes = std::string(" \" \\ \n \t \r \x01\x1f") + '\0' + "\xc3\xa9";
+
+NextHop next_hop(uint64_t index) {
+  NextHop nh;
+  nh.index = index;
+  return nh;
+}
+
+/// Reaches every conditional member of Aft::to_json(), and indices, ids
+/// and weights at 2^63 and above, which util::Json stores as int64_t and
+/// so dumps negative.
+Aft json_length_aft() {
+  constexpr uint64_t kHigh = uint64_t{1} << 63;
+  constexpr uint64_t kMax = ~uint64_t{0};
+  NextHop full = next_hop(1);
+  full.ip_address = addr("10.0.0.1");
+  full.interface = "Ethernet1";
+  full.label_op = LabelOp::kPush;
+  full.label = 16001;
+  NextHop attached = next_hop(2);
+  attached.interface = "Ethernet" + kEscapes;
+  attached.label_op = LabelOp::kSwap;
+  NextHop via = next_hop(3);
+  via.ip_address = addr("255.255.255.255");
+  via.label_op = LabelOp::kPop;
+  via.label = 1048575;
+  NextHop drop = next_hop(kHigh);
+  drop.drop = true;
+  NextHop plain = next_hop(kMax);
+  plain.ip_address = addr("0.0.0.0");
+
+  NextHopGroup weighted;
+  weighted.id = 1;
+  weighted.next_hops = {{1, 1}, {2, 3}, {kHigh, kMax}};
+  NextHopGroup empty;
+  empty.id = 2;
+  NextHopGroup high;
+  high.id = kHigh + 5;
+  high.next_hops = {{kMax, 100}};
+
+  Aft aft;
+  aft.replace_tables({full, attached, via, drop, plain}, {weighted, empty, high},
+                     {{pfx("0.0.0.0/0"), kHigh + 5, "STATIC", 0},
+                      {pfx("10.1.2.0/24"), 1, "", 4294967295u},
+                      {pfx("192.168.100.128/25"), 2, "ISIS" + kEscapes, 20}},
+                     {{0, 1}, {1048575, kHigh + 5}});
+  return aft;
+}
+
+std::vector<AclRule> acl(std::initializer_list<std::pair<bool, const char*>> rules) {
+  std::vector<AclRule> out;
+  for (const auto& [permit, destination] : rules) {
+    AclRule rule;
+    rule.permit = permit;
+    rule.destination = pfx(destination);
+    out.push_back(rule);
+  }
+  return out;
+}
+
+/// Reaches every conditional member of DeviceAft::to_json() and
+/// Snapshot::to_json(), with a device that has no interfaces.
+gnmi::Snapshot json_length_snapshot() {
+  DeviceAft r1;
+  r1.node = "R1" + kEscapes;
+  r1.aft = json_length_aft();
+  r1.instances["blue"] = json_length_aft();
+  r1.instances["red" + kEscapes] = Aft();
+
+  InterfaceState up;
+  up.name = "Ethernet1";
+  up.address = net::InterfaceAddress::parse("10.0.0.1/31");
+  up.acl_in = acl({});
+  up.acl_out = acl({{true, "0.0.0.0/0"}, {false, "10.1.0.0/16"}});
+  InterfaceState down;
+  down.name = "Ethernet2";
+  down.oper_up = false;
+  down.vrf = "blue";
+  down.acl_in = acl({{false, "192.168.100.128/25"}});
+  down.acl_out = acl({});
+  InterfaceState odd;
+  odd.name = "Ethernet" + kEscapes;
+  odd.address = net::InterfaceAddress::parse("1.2.3.4/32");
+  odd.vrf = "red" + kEscapes;
+  for (const InterfaceState& state : {up, down, odd}) r1.interfaces[state.name] = state;
+
+  DeviceAft r2;
+  r2.node = "R2";
+
+  gnmi::Snapshot snapshot;
+  snapshot.name = "what-if" + kEscapes;
+  snapshot.devices[r1.node] = r1;
+  snapshot.devices[r2.node] = r2;
+  return snapshot;
+}
+
+TEST(JsonLength, HandBuiltSnapshotMatchesItsDump) {
+  gnmi::Snapshot snapshot = json_length_snapshot();
+  std::string dump = snapshot.to_json().dump();
+  // The fixture reaches what it claims to.
+  for (const char* text :
+       {R"("index":-9223372036854775808)", R"("weight":-1)", R"("id":-9223372036854775803)",
+        R"("label-op":"POP")", R"("drop":true)", R"("acl-in":[])", R"("next-hops":[])",
+        R"("address":"10.0.0.1/31")", R"("oper-status":"DOWN")", R"("vrf":"blue")",
+        R"("interfaces":[])", R"(\u0000)", R"(\u001f)", R"(\")", R"(\\)", "\xc3\xa9"})
+    EXPECT_NE(dump.find(text), std::string::npos) << text;
+
+  for (const auto& [node, device] : snapshot.devices) {
+    EXPECT_EQ(device.json_length(), device.to_json().dump().size()) << node;
+    EXPECT_EQ(device.aft.json_length(), device.aft.to_json().dump().size()) << node;
+    for (const auto& [name, instance] : device.instances)
+      EXPECT_EQ(instance.json_length(), instance.to_json().dump().size()) << node << " " << name;
+  }
+  EXPECT_EQ(snapshot.json_length(), dump.size());
+}
+
+TEST(JsonLength, EmptyDocumentsMatchTheirDump) {
+  EXPECT_EQ(Aft().json_length(), Aft().to_json().dump().size());
+  DeviceAft bare;
+  EXPECT_EQ(bare.json_length(), bare.to_json().dump().size());
+  gnmi::Snapshot empty;
+  EXPECT_EQ(empty.json_length(), empty.to_json().dump().size());
+  empty.name = "named";
+  EXPECT_EQ(empty.json_length(), empty.to_json().dump().size());
 }
 
 TEST(LabelOp, NamesRoundTrip) {

@@ -186,6 +186,29 @@ TEST(SnapshotStore, LeasePinsEntryAcrossEviction) {
   EXPECT_EQ(lease->entry->key, (SnapshotKey{1, 0, 0}));
 }
 
+TEST(SnapshotStore, ChargeIsTheSnapshotJsonLength) {
+  emu::Topology topology = small_wan(6);
+  SnapshotStore store;
+  SnapshotKey key = key_for_topology(topology);
+  auto base = store.get_or_build(kDefaultTenant, key, [&] {
+    return make_entry(scenario::VerifiedState::boot(topology, "base"));
+  });
+  ASSERT_TRUE(base.ok()) << base.status().message();
+
+  const emu::LinkSpec& link = topology.links.front();
+  std::vector<scenario::Perturbation> cut = {scenario::LinkCut{link.a, link.b}};
+  auto fork = store.get_or_build(kDefaultTenant, key_for_fork(key, cut), [&] {
+    return make_entry(scenario::VerifiedState::fork(*base->entry->emulation, cut, "cut"));
+  });
+  ASSERT_TRUE(fork.ok()) << fork.status().message();
+  ASSERT_NE(fork->entry->graph->snapshot(), base->entry->graph->snapshot());
+
+  for (const SnapshotStore::EntryPtr& entry : {base->entry, fork->entry})
+    EXPECT_EQ(entry->bytes, entry->graph->snapshot().to_json().dump().size())
+        << entry->graph->snapshot().name;
+  EXPECT_EQ(store.stats().bytes, base->entry->bytes + fork->entry->bytes);
+}
+
 TEST(SnapshotStore, ConcurrentMissesBuildOnce) {
   SnapshotStore store;
   SnapshotKey key{9, 9, 0};

@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <cstring>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <string>
@@ -323,6 +324,45 @@ TEST(TenantStore, OversizedEntryIsARejectionNotACache) {
   auto fits = store.get_or_build("a", SnapshotKey{1, 0, 0}, stub_builder(10));
   ASSERT_TRUE(fits.ok());
   EXPECT_FALSE(fits->hit);
+}
+
+TEST(TenantStore, HitDoesNotWaitForAnotherTenantsBuild) {
+  SnapshotStore store;
+  const SnapshotKey stored{2, 0, 0};
+  ASSERT_TRUE(store.get_or_build("b", stored, stub_builder(100)).ok());
+
+  // Tenant a's builder parks on `release` until b's lookups have returned.
+  std::latch building(1);
+  std::latch release(1);
+  std::atomic<bool> a_returned{false};
+  std::thread a([&] {
+    auto lease = store.get_or_build("a", SnapshotKey{1, 0, 0}, [&] {
+      building.count_down();
+      release.wait();
+      return stub_builder(100)();
+    });
+    EXPECT_TRUE(lease.ok());
+    a_returned = true;
+  });
+  building.wait();
+
+  std::atomic<int> b_builds{0};
+  auto hit = store.get_or_build("b", stored, [&] {
+    b_builds.fetch_add(1);
+    return stub_builder(100)();
+  });
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->hit);
+  EXPECT_EQ(b_builds.load(), 0);
+  EXPECT_EQ(store.find("b", stored), hit->entry);
+  EXPECT_FALSE(a_returned.load()) << "b's lookups returned while a's build was still parked";
+
+  release.count_down();
+  a.join();
+  EXPECT_TRUE(a_returned.load());
+  EXPECT_NE(store.find("a", SnapshotKey{1, 0, 0}), nullptr);
+  EXPECT_NE(store.find("b", stored), nullptr);
+  EXPECT_EQ(store.stats().entries, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/json.hpp"
 
 namespace mfv::util {
@@ -79,6 +81,17 @@ TEST(Json, LargeIntegersSurvive) {
   auto parsed = Json::parse(j.dump());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->as_int(), 1234567890123456789);
+}
+
+TEST(Json, LengthHelpersMatchDump) {
+  for (int64_t value : {int64_t{0}, int64_t{9}, int64_t{10}, int64_t{-1}, int64_t{-10},
+                        int64_t{4294967295}, std::numeric_limits<int64_t>::max(),
+                        std::numeric_limits<int64_t>::min()})
+    EXPECT_EQ(json_int_length(value), Json(value).dump().size()) << value;
+  for (const std::string& text :
+       {std::string(), std::string("plain"), std::string("\" \\ \n \t \r"),
+        std::string("\x01\x1f\x20\x7f"), std::string(1, '\0'), std::string("\xc3\xa9")})
+    EXPECT_EQ(json_string_length(text), Json(text).dump().size()) << text;
 }
 
 // ---------------------------------------------------------------------------
