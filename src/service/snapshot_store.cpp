@@ -142,8 +142,9 @@ util::Result<SnapshotStore::Lease> SnapshotStore::get_or_build(const std::string
   std::shared_ptr<StoredSnapshot> entry;
   if (built.ok() && *built != nullptr) {
     entry = std::move(*built);
-    // Charged before locking, as the snapshot's JSON length: counted from
-    // its tables (about 0.3 ms on a 50-router WAN), never serialized.
+    // Charged before locking, since every other request's lookup waits on
+    // the lock: the snapshot's JSON length, counted from its tables
+    // without serializing them.
     if (entry->bytes == 0 && entry->graph != nullptr)
       entry->bytes = entry->graph->snapshot().json_length();
   }

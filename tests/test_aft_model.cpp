@@ -363,7 +363,8 @@ TEST(JsonLength, HandBuiltSnapshotMatchesItsDump) {
        {R"("index":-9223372036854775808)", R"("weight":-1)", R"("id":-9223372036854775803)",
         R"("label-op":"POP")", R"("drop":true)", R"("acl-in":[])", R"("next-hops":[])",
         R"("address":"10.0.0.1/31")", R"("oper-status":"DOWN")", R"("vrf":"blue")",
-        R"("interfaces":[])", R"(\u0000)", R"(\u001f)", R"(\")", R"(\\)", "\xc3\xa9"})
+        R"("interfaces":[])", R"(\u0000)", R"(\u001f)", R"(\")", R"(\\)", R"(\n)", R"(\t)",
+        R"(\r)", "\xc3\xa9"})
     EXPECT_NE(dump.find(text), std::string::npos) << text;
 
   for (const auto& [node, device] : snapshot.devices) {
