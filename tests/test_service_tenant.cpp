@@ -346,19 +346,23 @@ TEST(TenantStore, HitDoesNotWaitForAnotherTenantsBuild) {
   });
   building.wait();
 
-  std::atomic<int> b_builds{0};
+  // A regression hangs here; a is released and joined before any assertion
+  // can return early.
+  int b_builds = 0;
   auto hit = store.get_or_build("b", stored, [&] {
-    b_builds.fetch_add(1);
+    ++b_builds;
     return stub_builder(100)();
   });
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit->hit);
-  EXPECT_EQ(b_builds.load(), 0);
-  EXPECT_EQ(store.find("b", stored), hit->entry);
-  EXPECT_FALSE(a_returned.load()) << "b's lookups returned while a's build was still parked";
-
+  SnapshotStore::EntryPtr found = store.find("b", stored);
+  bool a_returned_before_release = a_returned.load();
   release.count_down();
   a.join();
+
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit->hit);
+  EXPECT_EQ(b_builds, 0);
+  EXPECT_EQ(found, hit->entry);
+  EXPECT_FALSE(a_returned_before_release);
   EXPECT_TRUE(a_returned.load());
   EXPECT_NE(store.find("a", SnapshotKey{1, 0, 0}), nullptr);
   EXPECT_NE(store.find("b", stored), nullptr);
